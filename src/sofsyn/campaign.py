@@ -21,7 +21,7 @@ import math
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,32 +50,6 @@ __all__ = [
     "ROWS_CSV_HEADER",
     "SUMMARY_CSV_HEADER",
 ]
-
-ROWS_CSV_HEADER = (
-    "problem",
-    "run_index",
-    "seed",
-    "objective",
-    "fitness",
-    "gain_norm",
-    "feasible",
-    "global_evals",
-    "local_evals",
-    "wall_time_s",
-)
-
-SUMMARY_CSV_HEADER = (
-    "problem",
-    "runs",
-    "success_count",
-    "best",
-    "q1",
-    "median",
-    "q3",
-    "worst",
-    "std",
-    "mean_wall_time_s",
-)
 
 
 @dataclass(frozen=True)
@@ -121,6 +95,10 @@ class CampaignSummary:
     worst: float
     std: float
     mean_wall_time_s: float
+
+
+ROWS_CSV_HEADER = tuple(f.name for f in fields(RunRow))
+SUMMARY_CSV_HEADER = tuple(f.name for f in fields(CampaignSummary))
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -237,68 +215,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_rows_csv(rows: list[RunRow], path) -> None:
+def _write_csv(records: list, header: tuple[str, ...], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ROWS_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.problem,
-                    r.run_index,
-                    r.seed,
-                    _fmt(r.objective),
-                    _fmt(r.fitness),
-                    _fmt(r.gain_norm),
-                    _fmt(r.feasible),
-                    r.global_evals,
-                    r.local_evals,
-                    _fmt(r.wall_time_s),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in vars(rec).values()] for rec in records)
 
 
-def read_rows_csv(path) -> list[RunRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                RunRow(
-                    problem=rec["problem"],
-                    run_index=int(rec["run_index"]),
-                    seed=int(rec["seed"]),
-                    objective=float(rec["objective"]),
-                    fitness=float(rec["fitness"]),
-                    gain_norm=float(rec["gain_norm"]),
-                    feasible=rec["feasible"] == "true",
-                    global_evals=int(rec["global_evals"]),
-                    local_evals=int(rec["local_evals"]),
-                    wall_time_s=float(rec["wall_time_s"]),
-                )
-            )
-    return rows
+def write_rows_csv(rows: list[RunRow], path) -> None:
+    _write_csv(rows, ROWS_CSV_HEADER, path)
 
 
 def write_summary_csv(summaries: list[CampaignSummary], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_HEADER)
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.problem,
-                    s.runs,
-                    s.success_count,
-                    _fmt(s.best),
-                    _fmt(s.q1),
-                    _fmt(s.median),
-                    _fmt(s.q3),
-                    _fmt(s.worst),
-                    _fmt(s.std),
-                    _fmt(s.mean_wall_time_s),
-                ]
-            )
+    _write_csv(summaries, SUMMARY_CSV_HEADER, path)
+
+
+#: Parser of a CSV or JSON field value, by the field's annotated type; float
+#: also reads the non-finite tokens written by _fmt and _json_safe.
+_PARSERS = {"str": str, "int": int, "float": float, "bool": lambda v: v is True or v == "true"}
+
+
+def _from_record(cls, record: dict):
+    return cls(**{f.name: _PARSERS[f.type](record[f.name]) for f in fields(cls)})
+
+
+def read_rows_csv(path) -> list[RunRow]:
+    with open(path, newline="") as fh:
+        return [_from_record(RunRow, rec) for rec in csv.DictReader(fh)]
 
 
 def _json_safe(value):
@@ -323,13 +266,6 @@ def _json_safe(value):
     return value
 
 
-def json_to_float(value) -> float:
-    """Inverse of the non-finite encoding used by :func:`_json_safe`."""
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
-
-
 def campaign_to_dict(rows: list[RunRow], summaries: list[CampaignSummary]) -> dict:
     return {
         "format": "sofsyn.campaign",
@@ -347,36 +283,8 @@ def read_campaign_json(path) -> tuple[list[RunRow], list[CampaignSummary]]:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != "sofsyn.campaign":
         raise ConfigError(f"{path}: not a sofsyn campaign file")
-    rows = [
-        RunRow(
-            problem=r["problem"],
-            run_index=int(r["run_index"]),
-            seed=int(r["seed"]),
-            objective=json_to_float(r["objective"]),
-            fitness=json_to_float(r["fitness"]),
-            gain_norm=json_to_float(r["gain_norm"]),
-            feasible=bool(r["feasible"]),
-            global_evals=int(r["global_evals"]),
-            local_evals=int(r["local_evals"]),
-            wall_time_s=json_to_float(r["wall_time_s"]),
-        )
-        for r in doc["rows"]
-    ]
-    summaries = [
-        CampaignSummary(
-            problem=s["problem"],
-            runs=int(s["runs"]),
-            success_count=int(s["success_count"]),
-            best=json_to_float(s["best"]),
-            q1=json_to_float(s["q1"]),
-            median=json_to_float(s["median"]),
-            q3=json_to_float(s["q3"]),
-            worst=json_to_float(s["worst"]),
-            std=json_to_float(s["std"]),
-            mean_wall_time_s=json_to_float(s["mean_wall_time_s"]),
-        )
-        for s in doc["summary"]
-    ]
+    rows = [_from_record(RunRow, r) for r in doc["rows"]]
+    summaries = [_from_record(CampaignSummary, r) for r in doc["summary"]]
     return rows, summaries
 
 

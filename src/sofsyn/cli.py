@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 bad input (file, flags, dimensions), 3 requested
 analysis impossible (unstable closed loop), 1 unexpected numerical failure.
-Thread count comes from --threads, else the SOFSYN_THREADS environment
-variable, else 1.
+The number of worker threads over which ``bench`` spreads its runs comes
+from --threads, else the SOFSYN_THREADS environment variable, else 1. A
+single solve always runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         help="charge local-search evaluations against the budget")
     parser.add_argument("--sigma0", type=float, default=0.3, help="initial step size")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default: ${THREADS_ENV_VAR} or 1)")
+                        help="worker threads over which bench spreads its runs; a solve "
+                        f"runs on one thread (default: ${THREADS_ENV_VAR} or 1)")
 
 
 def _format_matrix(M: np.ndarray) -> str:

@@ -3,18 +3,18 @@
 Each generation samples a population, scores it, optionally refines every
 offspring with the elitist (1+1) strategy (the refined points replace the
 originals before sorting), tracks the best point ever evaluated, and then
-advances the sampling distribution. Candidate scoring and refinement are
-independent per offspring and may run on a thread pool; results are
-gathered in candidate order and every candidate owns an RNG substream
-derived from (seed, generation, index), so the outcome is a pure function
-of the configuration regardless of thread count.
+advances the sampling distribution. The population is scored as one batch,
+and the refined offspring take their local steps in lockstep, one batch
+per step. Every refined candidate owns an RNG substream derived from
+(seed, generation, index), so the outcome is a pure function of the
+configuration.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -34,9 +34,13 @@ from .cma import (
     update_step_size,
 )
 from .errors import ConfigError, EigenSolveError
-from .local import default_local_params, run_local
+from .local import default_local_params, run_local_batch
 from .model import PlantRealization, validate_plant
-from .objectives import Evaluation, FitnessConfig, ObjectiveKind, PenaltyMode, evaluate
+from .objectives import Evaluation, FitnessConfig, ObjectiveKind, PenaltyMode, evaluate_batch
+
+# Not called here, but bound: perfbench/tracing.py patches these names in this module.
+from .local import run_local  # noqa: F401
+from .objectives import evaluate  # noqa: F401
 
 __all__ = ["SolverConfig", "GenerationRecord", "RunResult", "solve", "solve_raw"]
 
@@ -52,6 +56,9 @@ class SolverConfig:
     ``t_max`` counts global sample evaluations; each refined offspring
     additionally spends ``t_s`` local evaluations, which are charged
     against ``t_max`` only when ``charge_local_to_budget`` is set.
+    ``threads`` is validated but does not change a solve, which always runs
+    on the calling thread; campaigns size their run pool with
+    ``CampaignSpec.threads``.
     """
 
     objective: ObjectiveKind = ObjectiveKind.HINF_NORM
@@ -86,6 +93,10 @@ class SolverConfig:
             raise ConfigError("refine_top_k must be nonnegative")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
+        if self.stability_tol < 0:
+            raise ConfigError("stability_tol must be nonnegative")
+        if not self.norm_rel_tol > 0:
+            raise ConfigError("norm_rel_tol must be positive")
 
     def fitness_config(self) -> FitnessConfig:
         return FitnessConfig(
@@ -126,26 +137,8 @@ def _candidate_rng(seed: int, generation: int, index: int) -> np.random.Generato
     return np.random.Generator(np.random.PCG64(ss))
 
 
-class _BestTracker:
-    """Records the best full evaluation seen by a wrapped fitness stream."""
-
-    def __init__(self, alpha: np.ndarray, evaluation: Evaluation):
-        self.alpha = alpha
-        self.evaluation = evaluation
-
-    def wrap(self, eval_fn):
-        def fitness(x):
-            ev = eval_fn(x)
-            if ev.fitness > self.evaluation.fitness:
-                self.alpha = np.array(x, dtype=float)
-                self.evaluation = ev
-            return ev.fitness
-
-        return fitness
-
-
 def _run(
-    eval_fn: Callable[[np.ndarray], Evaluation],
+    score: Callable[[np.ndarray], list[Evaluation]],
     n: int,
     config: SolverConfig,
     progress: Optional[Callable[[GenerationRecord], None]] = None,
@@ -179,100 +172,80 @@ def _run(
     history: list[GenerationRecord] = []
     generation = 0
 
-    pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
     t_start = time.perf_counter()
-    try:
-        while True:
-            used = global_evals + (local_evals if charge_local else 0)
-            if used >= config.t_max:
-                break
-            remaining = config.t_max - used
-            k = min(params.p, max(1, math.ceil(remaining / cost_per_offspring)))
+    while True:
+        used = global_evals + (local_evals if charge_local else 0)
+        if used >= config.t_max:
+            break
+        remaining = config.t_max - used
+        k = min(params.p, max(1, math.ceil(remaining / cost_per_offspring)))
 
-            sigma_gen = state.sigma
-            candidates = sample_population(state, params, rng_global, count=k)
+        sigma_gen = state.sigma
+        candidates = sample_population(state, params, rng_global, count=k)
+        evals = score(candidates)
+        global_evals += k
 
-            rows = list(candidates)
-            if pool is not None:
-                evals = list(pool.map(eval_fn, rows))
+        if config.local_search_enabled:
+            if config.refine_top_k is None:
+                refine_idx = list(range(k))
             else:
-                evals = [eval_fn(row) for row in rows]
-            global_evals += k
-
-            if config.local_search_enabled:
-                if config.refine_top_k is None:
-                    refine_idx = list(range(k))
-                else:
-                    order0 = sorted(
-                        range(k), key=lambda i: (-evals[i].fitness, i)
-                    )
-                    refine_idx = sorted(order0[: config.refine_top_k])
-
-                def refine(i: int):
-                    tracker = _BestTracker(candidates[i], evals[i])
-                    alpha_opt, fit_opt, used_evals = run_local(
-                        candidates[i],
-                        evals[i].fitness,
-                        sigma_gen,
-                        config.t_s,
-                        tracker.wrap(eval_fn),
-                        _candidate_rng(config.seed, generation, i),
-                        local_params,
-                    )
-                    return alpha_opt, tracker.evaluation, used_evals
-
-                if pool is not None:
-                    refined = list(pool.map(refine, refine_idx))
-                else:
-                    refined = [refine(i) for i in refine_idx]
-                for i, (alpha_opt, ev_opt, used_evals) in zip(refine_idx, refined):
-                    candidates[i] = alpha_opt
-                    evals[i] = ev_opt
-                    local_evals += used_evals
-
-            order = sorted(range(k), key=lambda i: (-evals[i].fitness, i))
-            top = order[0]
-            if best_ev is None or evals[top].fitness > best_ev.fitness:
-                best_ev = evals[top]
-                best_alpha = np.array(candidates[top], dtype=float)
-
-            record = GenerationRecord(
-                generation=generation,
-                best_fitness=best_ev.fitness,
-                sigma=sigma_gen,
-                feasible_fraction=sum(ev.feasible for ev in evals) / k,
-                global_evals=global_evals,
-                local_evals=local_evals,
+                order0 = sorted(range(k), key=lambda i: (-evals[i].fitness, i))
+                refine_idx = sorted(order0[: config.refine_top_k])
+            refined = run_local_batch(
+                candidates[refine_idx],
+                [evals[i] for i in refine_idx],
+                sigma_gen,
+                config.t_s,
+                score,
+                [_candidate_rng(config.seed, generation, i) for i in refine_idx],
+                local_params,
+                fitness=operator.attrgetter("fitness"),
             )
-            history.append(record)
-            if progress is not None:
-                progress(record)
+            for i, (alpha_opt, ev_opt) in zip(refine_idx, refined):
+                candidates[i] = alpha_opt
+                evals[i] = ev_opt
+            local_evals += config.t_s * len(refine_idx)
 
-            if k == params.p:
-                # full generation: advance the sampling distribution
-                try:
-                    sorted_top = np.asarray([candidates[i] for i in order[: params.mu]])
-                    new_mean = update_mean(sorted_top, params)
-                    path_sigma, path_cov, h_sigma = update_paths(state, new_mean, params)
-                    new_cov = update_covariance(
-                        state, sorted_top, state.mean, path_cov, h_sigma, params
-                    )
-                    new_sigma = update_step_size(state, path_sigma, params)
-                    state.mean = new_mean
-                    state.path_sigma = path_sigma
-                    state.path_cov = path_cov
-                    state.cov = new_cov
-                    state.sigma = new_sigma
-                except EigenSolveError:
-                    # degenerate update (e.g. overflowed covariance): force a reset
-                    state.sigma = math.inf
-                state.generation += 1
-                maybe_reset(state, config.reset_limits, best_alpha)
-                refresh_basis(state)
-            generation += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        order = sorted(range(k), key=lambda i: (-evals[i].fitness, i))
+        top = order[0]
+        if best_ev is None or evals[top].fitness > best_ev.fitness:
+            best_ev = evals[top]
+            best_alpha = np.array(candidates[top], dtype=float)
+
+        record = GenerationRecord(
+            generation=generation,
+            best_fitness=best_ev.fitness,
+            sigma=sigma_gen,
+            feasible_fraction=sum(ev.feasible for ev in evals) / k,
+            global_evals=global_evals,
+            local_evals=local_evals,
+        )
+        history.append(record)
+        if progress is not None:
+            progress(record)
+
+        if k == params.p:
+            # full generation: advance the sampling distribution
+            try:
+                sorted_top = np.asarray([candidates[i] for i in order[: params.mu]])
+                new_mean = update_mean(sorted_top, params)
+                path_sigma, path_cov, h_sigma = update_paths(state, new_mean, params)
+                new_cov = update_covariance(
+                    state, sorted_top, state.mean, path_cov, h_sigma, params
+                )
+                new_sigma = update_step_size(state, path_sigma, params)
+                state.mean = new_mean
+                state.path_sigma = path_sigma
+                state.path_cov = path_cov
+                state.cov = new_cov
+                state.sigma = new_sigma
+            except EigenSolveError:
+                # degenerate update (e.g. overflowed covariance): force a reset
+                state.sigma = math.inf
+            state.generation += 1
+            maybe_reset(state, config.reset_limits, best_alpha)
+            refresh_basis(state)
+        generation += 1
 
     assert best_alpha is not None and best_ev is not None
     return RunResult(
@@ -302,10 +275,10 @@ def solve(
     fitness_cfg = config.fitness_config()
     kind = config.objective
 
-    def eval_fn(alpha: np.ndarray) -> Evaluation:
-        return evaluate(plant, alpha, kind, fitness_cfg)
+    def score(X: np.ndarray) -> list[Evaluation]:
+        return evaluate_batch(plant, X, kind, fitness_cfg)
 
-    return _run(eval_fn, plant.dims.n, config, progress)
+    return _run(score, plant.dims.n, config, progress)
 
 
 def solve_raw(
@@ -321,13 +294,9 @@ def solve_raw(
     outside the control-synthesis setting.
     """
 
-    def eval_fn(alpha: np.ndarray) -> Evaluation:
-        value = float(fitness_fn(alpha))
-        return Evaluation(
-            fitness=value,
-            objective=-value,
-            gain_norm=float(np.linalg.norm(alpha)),
-            feasible=True,
-        )
+    def score(X: np.ndarray) -> list[Evaluation]:
+        values = [float(fitness_fn(alpha)) for alpha in X]
+        norms = [float(np.linalg.norm(alpha)) for alpha in X]
+        return [Evaluation(v, -v, norm, True) for v, norm in zip(values, norms)]
 
-    return _run(eval_fn, n, config, progress)
+    return _run(score, n, config, progress)

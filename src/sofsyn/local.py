@@ -5,13 +5,14 @@ global one); the parent is replaced only by strictly better offspring.
 The step size follows a smoothed success rate toward the 2/11 target and
 the covariance adapts along the path of accepted steps, with the path
 update suppressed while the success rate is high (those steps carry
-little directional information).
+little directional information). Several candidates refine in lockstep,
+so that each step scores all of their offspring in one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "update_success_and_sigma",
     "accept_and_adapt",
     "run_local",
+    "run_local_batch",
 ]
 
 
@@ -62,6 +64,13 @@ def default_local_params(n: int) -> LocalParams:
 
 @dataclass
 class LocalState:
+    """Refinement state of one candidate.
+
+    ``cov`` is replaced, never modified in place: ``chol`` caches the
+    Cholesky factor of the array ``chol_of``, and is recomputed once
+    ``cov`` is no longer that array.
+    """
+
     parent: np.ndarray
     parent_fitness: float
     sigma_loc: float
@@ -71,6 +80,8 @@ class LocalState:
     v_succ: int
     best_alpha: np.ndarray
     best_fitness: float
+    chol: np.ndarray | None = field(default=None, repr=False)
+    chol_of: np.ndarray | None = field(default=None, repr=False)
 
 
 def init_local(alpha_parent, fitness_parent: float, global_sigma: float, n: int) -> LocalState:
@@ -99,15 +110,17 @@ def sample_offspring(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one offspring parent + sigma_loc * L xi with L the Cholesky
     factor of the covariance; returns (offspring, perturbation L xi)."""
-    for attempt in range(2):
-        try:
-            chol = np.linalg.cholesky(state.cov)
-            break
-        except np.linalg.LinAlgError:
-            if attempt:
-                raise EigenSolveError("local covariance not factorizable after SPD repair")
-            state.cov = enforce_spd(state.cov)
-    eps = chol @ rng.standard_normal(state.parent.size)
+    if state.chol_of is not state.cov:
+        for attempt in range(2):
+            try:
+                state.chol = np.linalg.cholesky(state.cov)
+                break
+            except np.linalg.LinAlgError:
+                if attempt:
+                    raise EigenSolveError("local covariance not factorizable after SPD repair")
+                state.cov = enforce_spd(state.cov)
+        state.chol_of = state.cov
+    eps = state.chol @ rng.standard_normal(state.parent.size)
     return state.parent + state.sigma_loc * eps, eps
 
 
@@ -174,13 +187,48 @@ def run_local(
     encountered, its fitness (never below the input fitness), and the
     number of evaluations spent.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    [(best_alpha, best_fitness)] = run_local_batch(
+        np.asarray(alpha, dtype=float).reshape(1, -1), [float(fitness)], global_sigma, budget,
+        lambda X: [float(fitness_fn(X[0]))], [rng], params,
+    )
+    return best_alpha, best_fitness, budget
+
+
+def run_local_batch(
+    alphas: np.ndarray,
+    scores: list,
+    global_sigma: float,
+    budget: int,
+    score_batch,
+    rngs: list[np.random.Generator],
+    params: LocalParams | None = None,
+    fitness=float,
+) -> list[tuple[np.ndarray, object]]:
+    """Refine the rows of ``alphas`` in lockstep, each exactly as
+    :func:`run_local` refines it alone.
+
+    Candidate i starts from score ``scores[i]`` and draws from ``rngs[i]``.
+    Each of the ``budget`` steps scores the offspring of all candidates
+    with one ``score_batch`` call (a matrix of rows in, one score per row
+    out); ``fitness`` maps a score to its scalar fitness. Returns, per
+    candidate, the best point encountered and its score.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    m, n = alphas.shape
+    if m == 0:
+        return []
     if params is None:
-        params = default_local_params(alpha.size)
-    state = init_local(alpha, fitness, global_sigma, alpha.size)
+        params = default_local_params(n)
+    states = [init_local(a, fitness(s), global_sigma, n) for a, s in zip(alphas, scores)]
+    best = list(scores)
     for _ in range(budget):
-        offspring, eps = sample_offspring(state, rng)
-        update_success_and_sigma(state, params)
-        value = float(fitness_fn(offspring))
-        accept_and_adapt(state, offspring, value, eps, params)
-    return state.best_alpha.copy(), state.best_fitness, budget
+        steps = [sample_offspring(state, rng) for state, rng in zip(states, rngs)]
+        for state in states:
+            update_success_and_sigma(state, params)
+        new_scores = score_batch(np.array([offspring for offspring, _ in steps]))
+        for i, (state, (offspring, eps), score) in enumerate(zip(states, steps, new_scores)):
+            value = fitness(score)
+            if value > state.best_fitness:
+                best[i] = score
+            accept_and_adapt(state, offspring, value, eps, params)
+    return [(state.best_alpha.copy(), score) for state, score in zip(states, best)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import STABILITY_TOL, _real_eig, hinf_norm, spectral_abscissa
-from .errors import SofsynError
+from .errors import DimensionMismatchError, SofsynError
 from .model import ClosedLoopRealization, PlantRealization, close_loop, unflatten_gain
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "gain_norm",
     "feasibility",
     "evaluate",
+    "evaluate_batch",
 ]
 
 
@@ -68,6 +69,10 @@ class FitnessConfig:
             raise ValueError("beta must be nonnegative")
         if self.infeasible_penalty <= 0:
             raise ValueError("infeasible_penalty must be positive")
+        if self.stability_tol < 0:
+            raise ValueError("stability_tol must be nonnegative")
+        if not self.norm_rel_tol > 0:
+            raise ValueError("norm_rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,58 +108,59 @@ def evaluate(
     kind: ObjectiveKind,
     cfg: FitnessConfig = FitnessConfig(),
 ) -> Evaluation:
-    """Score one decision vector. Deterministic; never raises on an
-    unstable or numerically failing candidate (those become penalized
-    evaluations so the optimizer can keep running)."""
-    alpha = np.asarray(alpha, dtype=float)
+    """Score one decision vector; see :func:`evaluate_batch`."""
+    alpha = np.asarray(alpha, dtype=float).reshape(1, -1)
+    return evaluate_batch(plant, alpha, kind, cfg)[0]
+
+
+def evaluate_batch(
+    plant: PlantRealization,
+    X,
+    kind: ObjectiveKind,
+    cfg: FitnessConfig = FitnessConfig(),
+) -> list[Evaluation]:
+    """Score every row of ``X`` (one decision vector per row) exactly as
+    that row would score alone. Deterministic; never raises on an unstable
+    or numerically failing candidate (those become penalized evaluations so
+    the optimizer can keep running)."""
+    X = np.asarray(X, dtype=float)
     dims = plant.dims
-    norm_a = gain_norm(alpha)
-    finite = bool(np.all(np.isfinite(alpha)))
-    if finite:
-        F = unflatten_gain(alpha, dims.n_u, dims.n_y)
+    if X.ndim != 2 or X.shape[1] != dims.n:
+        raise DimensionMismatchError(
+            f"decision vectors have shape {X.shape}, expected (m, {dims.n})"
+        )
+    F = X.reshape(len(X), dims.n_y, dims.n_u).transpose(0, 2, 1)  # unflatten_gain per row
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row-wise BLAS ddot, as in gain_norm, so each norm has its exact bits
+        norms = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0]).tolist()
         FC = F @ plant.C
         A_F = plant.A + plant.B @ FC
-        finite = bool(np.all(np.isfinite(A_F)))
-    if not finite:
-        # overflowed candidate: rank below everything, never selected
-        return Evaluation(
-            fitness=-math.inf, objective=math.inf, gain_norm=norm_a, feasible=False
-        )
-    wr, _ = _real_eig(A_F)
-    abscissa = float(wr.max())
-    feasible = bool(abscissa < -cfg.stability_tol)
-
-    if kind is ObjectiveKind.SPECTRAL_ABSCISSA:
-        return Evaluation(
-            fitness=-(abscissa + cfg.beta * norm_a),
-            objective=abscissa,
-            gain_norm=norm_a,
-            feasible=feasible,
-        )
-
-    if feasible:
-        try:
-            cl = ClosedLoopRealization(
-                A_F=A_F, B1=plant.B1, C_F=plant.C1 + plant.D12 @ FC, D11=plant.D11
-            )
-            objective = hinf_norm(cl, rel_tol=cfg.norm_rel_tol).value
-        except SofsynError:
-            objective = None
+    finite = np.isfinite(X).all(axis=1) & np.isfinite(A_F).all(axis=(1, 2))
+    evals = []
+    for A, fc, norm_a, ok in zip(A_F, FC, norms, finite):
+        if not ok:
+            # overflowed candidate: rank below everything, never selected
+            evals.append(Evaluation(-math.inf, math.inf, norm_a, False))
+            continue
+        wr, _ = _real_eig(A)
+        abscissa = float(wr.max())
+        feasible = bool(abscissa < -cfg.stability_tol)
+        if kind is ObjectiveKind.SPECTRAL_ABSCISSA:
+            evals.append(Evaluation(-(abscissa + cfg.beta * norm_a), abscissa, norm_a, feasible))
+            continue
+        objective = None
+        if feasible:
+            try:
+                C_F = plant.C1 + plant.D12 @ fc
+                cl = ClosedLoopRealization(A_F=A, B1=plant.B1, C_F=C_F, D11=plant.D11)
+                objective = hinf_norm(cl, rel_tol=cfg.norm_rel_tol).value
+            except SofsynError:
+                pass  # norm computation failed despite a stable loop: score as infeasible
         if objective is not None:
-            return Evaluation(
-                fitness=-(objective + cfg.beta * norm_a),
-                objective=objective,
-                gain_norm=norm_a,
-                feasible=True,
-            )
-        # norm computation failed despite a stable loop: score as infeasible
-
-    fitness = -cfg.infeasible_penalty
-    if cfg.penalty_mode is PenaltyMode.GUIDED:
-        fitness -= max(0.0, abscissa)
-    return Evaluation(
-        fitness=fitness,
-        objective=math.inf,
-        gain_norm=norm_a,
-        feasible=False,
-    )
+            evals.append(Evaluation(-(objective + cfg.beta * norm_a), objective, norm_a, True))
+            continue
+        fitness = -cfg.infeasible_penalty
+        if cfg.penalty_mode is PenaltyMode.GUIDED:
+            fitness -= max(0.0, abscissa)
+        evals.append(Evaluation(fitness, math.inf, norm_a, False))
+    return evals

@@ -43,6 +43,9 @@ from sofsyn.objectives import FitnessConfig, ObjectiveKind, PenaltyMode, evaluat
 from test_analysis import abscissa_oracle, stable_random_loop
 from test_cma import hand_params
 
+# most of the suite's run time; `pytest -m "not slow"` skips this module
+pytestmark = pytest.mark.slow
+
 
 def _report(name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"

@@ -227,3 +227,70 @@ def test_wall_time_recorded():
     res = solve_raw(lambda x: 0.0, 2, SolverConfig(t_max=50, local_search_enabled=False))
     assert isinstance(res, RunResult)
     assert res.wall_time > 0
+
+
+def test_tolerances_validated():
+    with pytest.raises(ConfigError):
+        SolverConfig(norm_rel_tol=0.0)
+    with pytest.raises(ConfigError):
+        SolverConfig(norm_rel_tol=-1e-6)
+    with pytest.raises(ConfigError):
+        SolverConfig(stability_tol=-1.0)
+    SolverConfig(stability_tol=0.0)
+
+
+@pytest.mark.parametrize("refine_top_k", [None, 3])
+def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch, refine_top_k):
+    """Every refined offspring of a solve ends exactly where run_local takes
+    it alone, on the substream keyed by (seed, generation, index)."""
+    from sofsyn import driver
+    from sofsyn.local import run_local
+
+    calls = []
+    lockstep = driver.run_local_batch
+
+    def recording(alphas, scores, sigma, budget, score, rngs, params, fitness):
+        states = [rng.bit_generator.state for rng in rngs]
+        out = lockstep(alphas, scores, sigma, budget, score, rngs, params, fitness=fitness)
+        calls.append((alphas.copy(), scores, sigma, budget, score, states, params, out))
+        return out
+
+    batches = []
+    evaluate_batch = driver.evaluate_batch
+
+    def recording_batches(plant, X, kind, cfg):
+        evals = evaluate_batch(plant, X, kind, cfg)
+        batches.append(list(evals))  # the driver overwrites refined entries
+        return evals
+
+    monkeypatch.setattr(driver, "run_local_batch", recording)
+    monkeypatch.setattr(driver, "evaluate_batch", recording_batches)
+    plant = load_problem(builtin_plant_path("rand4"))
+    config = SolverConfig(t_max=24, t_s=6, seed=11, refine_top_k=refine_top_k)
+    p = default_params(plant.dims.n).p
+    solve(plant, config)
+    assert len(calls) == 3
+    populations = batches[:: 1 + config.t_s]
+    for generation, (alphas, scores, sigma, budget, score, states, params, out) in enumerate(
+        calls
+    ):
+        assert len(out) == (p if refine_top_k is None else refine_top_k)
+        streams = [driver._candidate_rng(11, generation, i).bit_generator.state
+                   for i in range(p)]
+        population = populations[generation]
+        if refine_top_k is None:
+            refined = range(p)
+        else:
+            order = sorted(range(p), key=lambda i: (-population[i].fitness, i))
+            refined = sorted(order[:refine_top_k])
+        assert states == [streams[i] for i in refined]
+        assert scores == [population[i] for i in refined]
+        for alpha, ev, state, (alpha_opt, ev_opt) in zip(alphas, scores, states, out):
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = state
+            best, fit, used = run_local(
+                alpha, ev.fitness, sigma, budget, lambda x: score(x[None])[0].fitness, rng, params
+            )
+            assert used == budget == 6
+            assert best.tobytes() == alpha_opt.tobytes()
+            assert fit.hex() == ev_opt.fitness.hex()

@@ -9,6 +9,7 @@ from sofsyn.local import (
     default_local_params,
     init_local,
     run_local,
+    run_local_batch,
     sample_offspring,
     update_success_and_sigma,
 )
@@ -238,3 +239,117 @@ def test_run_local_deterministic():
     out2 = run_local(start, fitness(start), 1.0, 50, fitness, np.random.default_rng(11))
     np.testing.assert_array_equal(out1[0], out2[0])
     assert out1[1] == out2[1]
+
+
+def test_sample_offspring_factors_each_covariance_once(monkeypatch):
+    calls = 0
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        nonlocal calls
+        calls += 1
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    params = default_local_params(2)
+    state = init_local(np.zeros(2), 0.0, 1.0, 2)
+    for _ in range(3):
+        sample_offspring(state, FixedRng())
+    assert calls == 1
+    state.cov = np.diag([4.0, 1.0])
+    _, eps = sample_offspring(state, FixedRng([1.0, 1.0]))
+    np.testing.assert_array_equal(eps, [2.0, 1.0])
+    assert calls == 2
+    # a rejected step keeps the covariance, an accepted one replaces it
+    offspring, eps = sample_offspring(state, FixedRng([1.0, 0.0]))
+    accept_and_adapt(state, offspring, -1.0, eps, params)
+    sample_offspring(state, FixedRng())
+    assert calls == 2
+    accept_and_adapt(state, offspring, 1.0, eps, params)
+    sample_offspring(state, FixedRng())
+    assert calls == 3
+
+
+def _bits(alpha, fitness):
+    return alpha.tobytes(), float(fitness).hex()
+
+
+def _rugged(x):
+    return -float(np.sum((x - 0.7) ** 2)) + 0.3 * math.sin(25.0 * float(np.sum(x)))
+
+
+@pytest.mark.parametrize("spd_repair", [False, True])
+def test_lockstep_matches_run_local_per_candidate(monkeypatch, spd_repair):
+    """Each lockstep candidate ends exactly where run_local takes it alone
+    on the same RNG substream, also when its covariance is broken and
+    repaired partway through."""
+    import sofsyn.local as local
+
+    repairs = []
+    if spd_repair:
+        accept, enforce = local.accept_and_adapt, local.enforce_spd
+
+        def breaking_accept(state, offspring, value, eps, params):
+            accept(state, offspring, value, eps, params)
+            if state.v_succ:
+                state.accepted = getattr(state, "accepted", 0) + 1
+                if state.accepted == 2:
+                    cov = state.cov.copy()
+                    cov[0, 0] = -cov[0, 0]  # a negative diagonal entry: indefinite
+                    state.cov = cov
+
+        def counting_enforce(cov):
+            repairs.append(1)
+            return enforce(cov)
+
+        monkeypatch.setattr(local, "accept_and_adapt", breaking_accept)
+        monkeypatch.setattr(local, "enforce_spd", counting_enforce)
+
+    rng = np.random.default_rng(30)
+    k, n, budget = 5, 3, 25
+    starts = rng.standard_normal((k, n))
+    fits = [_rugged(x) for x in starts]
+    batch_sizes = []
+
+    def score_batch(X):
+        batch_sizes.append(len(X))
+        return [_rugged(x) for x in X]
+
+    together = local.run_local_batch(
+        starts, fits, 0.8, budget, score_batch,
+        [np.random.default_rng([31, i]) for i in range(k)],
+    )
+    assert batch_sizes == [k] * budget
+    repairs_together = len(repairs)
+    alone = [
+        local.run_local(starts[i], fits[i], 0.8, budget, _rugged, np.random.default_rng([31, i]))
+        for i in range(k)
+    ]
+    assert [_bits(*t) for t in together] == [_bits(a, f) for a, f, _ in alone]
+    if spd_repair:
+        assert repairs_together >= 1
+        assert len(repairs) == 2 * repairs_together
+
+
+def test_lockstep_returns_the_best_score_object():
+    starts = np.array([[0.0, 0.0], [2.0, 2.0]])
+
+    def score_batch(X):
+        return [{"fitness": _rugged(x), "point": x.copy()} for x in X]
+
+    initial = score_batch(starts)
+    out = run_local_batch(
+        starts, initial, 1.0, 30, score_batch,
+        [np.random.default_rng(i) for i in range(2)],
+        fitness=lambda s: s["fitness"],
+    )
+    for (alpha, score), start_score in zip(out, initial):
+        assert score["fitness"] >= start_score["fitness"]
+        np.testing.assert_array_equal(alpha, score["point"])
+
+
+def test_lockstep_with_no_candidates_scores_nothing():
+    def score_batch(X):
+        raise AssertionError("no candidate to score")
+
+    assert run_local_batch(np.zeros((0, 3)), [], 1.0, 10, score_batch, []) == []

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from sofsyn import builtin_plant_path, load_problem
-from sofsyn.model import PlantRealization
+from sofsyn.errors import DimensionMismatchError
+from sofsyn.analysis import spectral_abscissa
+from sofsyn.model import PlantRealization, close_loop, unflatten_gain
 from sofsyn.objectives import (
     FitnessConfig,
     ObjectiveKind,
     PenaltyMode,
     evaluate,
+    evaluate_batch,
     feasibility,
     gain_norm,
 )
@@ -175,3 +178,77 @@ def test_fitness_config_validation():
         FitnessConfig(beta=-1.0)
     with pytest.raises(ValueError):
         FitnessConfig(infeasible_penalty=0.0)
+    with pytest.raises(ValueError):
+        FitnessConfig(norm_rel_tol=0.0)
+    with pytest.raises(ValueError):
+        FitnessConfig(stability_tol=-1.0)
+    FitnessConfig(stability_tol=0.0)
+
+
+# A_F = A + B f C = [[1 + 2f, 1 + f], [6f, -2 + 3f]] for a scalar gain f:
+# f = -1 and f = -2 are stable, f = 0 is not, and f = 1e308 overflows A_F.
+BATCH_PLANT = PlantRealization(
+    A=[[1.0, 1.0], [0.0, -2.0]], B1=[[1.0], [0.5]], B=[[1.0], [3.0]],
+    C1=[[1.0, 0.0]], D11=[[0.2]], D12=[[0.1]], C=[[2.0, 1.0]], name="batch",
+)
+BATCH_ROWS = np.array([[-1.0], [0.0], [np.inf], [np.nan], [1e308], [-2.0], [-1.5], [-np.inf]])
+
+
+def _same_bits(a, b):
+    return repr(a) == repr(b)  # repr of a float round-trips its exact bits
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_evaluate_batch_rows_match_single_evaluations(kind, monkeypatch):
+    import sofsyn.objectives as objectives
+    from sofsyn.errors import BracketError
+
+    original = objectives.hinf_norm
+
+    def failing_below(cl, rel_tol):
+        # stands in for a norm failure on the f = -2 row (A_F[0, 0] = -3)
+        if cl.A_F[0, 0] < -2.5:
+            raise BracketError("no certifiable upper bound")
+        return original(cl, rel_tol=rel_tol)
+
+    monkeypatch.setattr(objectives, "hinf_norm", failing_below)
+    cfg = FitnessConfig(beta=1e-3)
+    batch = evaluate_batch(BATCH_PLANT, BATCH_ROWS, kind, cfg)
+    singles = [evaluate(BATCH_PLANT, row, kind, cfg) for row in BATCH_ROWS]
+    assert len(batch) == len(BATCH_ROWS)
+    assert all(_same_bits(a, b) for a, b in zip(batch, singles))
+    with np.errstate(over="ignore"):
+        norms = [gain_norm(row) for row in BATCH_ROWS]
+    assert all(_same_bits(ev.gain_norm, norm) for ev, norm in zip(batch, norms))
+    stable, unstable, inf, nan, overflow, failed = batch[:6]
+    assert stable.feasible and math.isfinite(stable.fitness)
+    assert not unstable.feasible
+    for ev in (inf, nan, overflow):
+        assert ev.fitness == -math.inf and not ev.feasible
+    if kind is ObjectiveKind.HINF_NORM:
+        assert not failed.feasible and failed.objective == math.inf
+        assert failed.fitness == -cfg.infeasible_penalty > unstable.fitness
+    else:
+        assert failed.feasible
+
+
+def test_evaluate_batch_matches_per_row_reference():
+    """Stacked closing of the loop and batched norms give the bits of the
+    per-row path: close_loop on the unflattened gain, then the abscissa."""
+    from test_model import random_plant
+
+    rng = np.random.default_rng(22)
+    plant = random_plant(rng, n_x=4, n_u=2, n_y=3)
+    X = rng.standard_normal((200, 6)) * 10.0 ** rng.integers(-3, 4, (200, 1))
+    cfg = FitnessConfig(beta=1e-3)
+    for row, ev in zip(X, evaluate_batch(plant, X, ObjectiveKind.SPECTRAL_ABSCISSA, cfg)):
+        abscissa = spectral_abscissa(close_loop(plant, unflatten_gain(row, 2, 3)).A_F)
+        assert _same_bits(ev.gain_norm, gain_norm(row))
+        assert _same_bits(ev.objective, abscissa)
+        assert _same_bits(ev.fitness, -(abscissa + cfg.beta * gain_norm(row)))
+
+
+def test_evaluate_batch_shape_checked(double_integrator):
+    with pytest.raises(DimensionMismatchError):
+        evaluate_batch(double_integrator, np.zeros((3, 5)), ObjectiveKind.HINF_NORM)
+    assert evaluate_batch(double_integrator, np.zeros((0, 2)), ObjectiveKind.HINF_NORM) == []
