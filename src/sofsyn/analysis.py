@@ -253,11 +253,6 @@ def _hamiltonian_builder(cl: ClosedLoopRealization):
     return build
 
 
-def _hamiltonian(cl: ClosedLoopRealization, gamma: float) -> np.ndarray:
-    """Hamiltonian matrix of the bounded-real test at level gamma."""
-    return _hamiltonian_builder(cl)(gamma).copy()
-
-
 def _imaginary_axis_freqs(H: np.ndarray) -> np.ndarray:
     """Nonnegative frequencies of eigenvalues of H lying on the imaginary axis."""
     wr, wi = _real_eig(H)

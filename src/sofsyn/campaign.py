@@ -20,8 +20,7 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +57,10 @@ class CampaignSpec:
     config: SolverConfig = field(default_factory=SolverConfig)
     runs: int = 10
     base_seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if not self.problems:
             raise ConfigError("at least one problem is required")
 
@@ -138,9 +134,21 @@ def summarize(problem: str, rows: list[RunRow]) -> CampaignSummary:
     )
 
 
-def _row_from_result(problem: str, run_index: int, seed: int, result: RunResult) -> RunRow:
+def _run_row(plant: PlantRealization, spec: CampaignSpec, run_index: int) -> RunRow:
+    seed = spec.base_seed + run_index
+    t0 = time.perf_counter()
+    try:
+        result = solve(plant, replace(spec.config, seed=seed))
+    except SofsynError:
+        # a failed run scores as unsuccessful; the campaign moves on
+        return RunRow(
+            problem=plant.name, run_index=run_index, seed=seed,
+            objective=math.inf, fitness=-math.inf, gain_norm=math.nan,
+            feasible=False, global_evals=0, local_evals=0,
+            wall_time_s=time.perf_counter() - t0,
+        )
     return RunRow(
-        problem=problem,
+        problem=plant.name,
         run_index=run_index,
         seed=seed,
         objective=result.best_objective,
@@ -158,47 +166,17 @@ def run_campaign(
 ) -> tuple[list[RunRow], list[CampaignSummary]]:
     """Execute all (problem, seed) runs and summarize them.
 
-    Runs are independent and may execute on a thread pool of
-    ``spec.threads`` workers; rows come back ordered by (problem, run
-    index) so output files do not depend on scheduling. A run that fails
-    to produce a feasible point is recorded as an unsuccessful row; the
-    campaign continues.
+    Runs execute one after another on the calling thread; rows are ordered
+    by (problem, run index). A run that fails to produce a feasible point is
+    recorded as an unsuccessful row; the campaign continues.
     """
     if plants is None:
         plants = [load_problem(p) for p in spec.problems]
 
-    jobs = [
-        (plant_idx, run_idx)
-        for plant_idx in range(len(plants))
-        for run_idx in range(spec.runs)
-    ]
-
-    def one(job: tuple[int, int]) -> RunRow:
-        plant_idx, run_idx = job
-        seed = spec.base_seed + run_idx
-        config = replace(spec.config, seed=seed)
-        t0 = time.perf_counter()
-        try:
-            result = solve(plants[plant_idx], config)
-        except SofsynError:
-            # a failed run scores as unsuccessful; the campaign moves on
-            return RunRow(
-                problem=plants[plant_idx].name, run_index=run_idx, seed=seed,
-                objective=math.inf, fitness=-math.inf, gain_norm=math.nan,
-                feasible=False, global_evals=0, local_evals=0,
-                wall_time_s=time.perf_counter() - t0,
-            )
-        return _row_from_result(plants[plant_idx].name, run_idx, seed, result)
-
-    if spec.threads > 1:
-        with ThreadPoolExecutor(spec.threads) as pool:
-            rows = list(pool.map(one, jobs))
-    else:
-        rows = [one(job) for job in jobs]
-
-    summaries = []
-    for plant_idx, plant in enumerate(plants):
-        chunk = rows[plant_idx * spec.runs : (plant_idx + 1) * spec.runs]
+    rows, summaries = [], []
+    for plant in plants:
+        chunk = [_run_row(plant, spec, run_index) for run_index in range(spec.runs)]
+        rows.extend(chunk)
         summaries.append(summarize(plant.name, chunk))
     return rows, summaries
 
@@ -289,20 +267,12 @@ def read_campaign_json(path) -> tuple[list[RunRow], list[CampaignSummary]]:
 
 
 def run_result_to_dict(result: RunResult) -> dict:
-    return _json_safe(
-        {
-            "format": "sofsyn.run",
-            "version": 1,
-            "best_alpha": result.best_alpha,
-            "best_fitness": result.best_fitness,
-            "best_objective": result.best_objective,
-            "feasible": result.feasible,
-            "global_evals": result.global_evals,
-            "local_evals": result.local_evals,
-            "wall_time_s": result.wall_time,
-            "history": [vars(rec) for rec in result.history],
-        }
-    )
+    """The run JSON document: ``RunResult``'s fields in declaration order,
+    with ``wall_time`` written as ``wall_time_s``."""
+    doc = {"format": "sofsyn.run", "version": 1}
+    for name, value in asdict(result).items():
+        doc["wall_time_s" if name == "wall_time" else name] = value
+    return _json_safe(doc)
 
 
 def write_run_result_json(result: RunResult, path) -> None:

@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 2 bad input (file, flags, dimensions), 3 requested
 analysis impossible (unstable closed loop), 1 unexpected numerical failure.
-The number of worker threads over which ``bench`` spreads its runs comes
-from --threads, else the SOFSYN_THREADS environment variable, else 1. A
-single solve always runs on the calling thread.
+Solves and ``bench`` campaigns run on the calling thread; --threads is
+validated and otherwise ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -41,21 +39,6 @@ from .problem_io import load_problem
 _OBJECTIVES = {"hinf": ObjectiveKind.HINF_NORM, "sa": ObjectiveKind.SPECTRAL_ABSCISSA}
 _PENALTY_MODES = {"strict": PenaltyMode.STRICT, "guided": PenaltyMode.GUIDED}
 
-THREADS_ENV_VAR = "SOFSYN_THREADS"
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-    return 1
-
-
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         objective=_OBJECTIVES[args.objective],
@@ -67,7 +50,7 @@ def _solver_config(args) -> SolverConfig:
         sigma0=args.sigma0,
         local_search_enabled=not args.no_local_search,
         charge_local_to_budget=args.charge_local,
-        threads=_threads(args),
+        threads=args.threads,
     )
 
 
@@ -88,9 +71,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--charge-local", action="store_true",
                         help="charge local-search evaluations against the budget")
     parser.add_argument("--sigma0", type=float, default=0.3, help="initial step size")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads over which bench spreads its runs; a solve "
-                        f"runs on one thread (default: ${THREADS_ENV_VAR} or 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="ignored (must be >= 1): every run is on the calling thread")
 
 
 def _format_matrix(M: np.ndarray) -> str:
@@ -132,7 +114,6 @@ def _cmd_bench(args) -> int:
         config=_solver_config(args),
         runs=args.runs,
         base_seed=args.seed,
-        threads=_threads(args),
     )
     rows, summaries = run_campaign(spec)
     if args.format == "json":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenSolveError
+from .errors import ConfigError, EigenSolveError
 
 __all__ = [
     "CmaParams",
@@ -144,11 +144,22 @@ class CmaState:
 
 @dataclass(frozen=True)
 class ResetLimits:
-    """Step-size bounds beyond which the distribution state is re-seeded."""
+    """Step-size bounds beyond which the distribution state is re-seeded.
+
+    They must be finite with 0 < sigma_min <= sigma_reset <= sigma_max, so
+    that a reset puts the step size back inside its safe range.
+    """
 
     sigma_min: float = 1e-12
     sigma_max: float = 1e7
     sigma_reset: float = 0.3
+
+    def __post_init__(self):
+        if not (0 < self.sigma_min <= self.sigma_reset <= self.sigma_max < math.inf):
+            raise ConfigError(
+                "reset limits must satisfy 0 < sigma_min <= sigma_reset <= sigma_max < inf,"
+                f" got {self}"
+            )
 
 
 def init_state(mean, sigma: float = 0.3) -> CmaState:

@@ -55,10 +55,10 @@ class SolverConfig:
 
     ``t_max`` counts global sample evaluations; each refined offspring
     additionally spends ``t_s`` local evaluations, which are charged
-    against ``t_max`` only when ``charge_local_to_budget`` is set.
-    ``threads`` is validated but does not change a solve, which always runs
-    on the calling thread; campaigns size their run pool with
-    ``CampaignSpec.threads``.
+    against ``t_max`` only when ``charge_local_to_budget`` is set. The
+    fitness fields are validated as :class:`FitnessConfig` validates them.
+    ``threads`` is validated but changes nothing: solves and campaigns run
+    on the calling thread.
     """
 
     objective: ObjectiveKind = ObjectiveKind.HINF_NORM
@@ -73,7 +73,6 @@ class SolverConfig:
     initial_mean: Optional[Sequence[float]] = None
     sigma0: float = 0.3
     local_search_enabled: bool = True
-    refine_top_k: Optional[int] = None
     charge_local_to_budget: bool = False
     threads: int = 1
     reset_limits: ResetLimits = field(default_factory=ResetLimits)
@@ -89,14 +88,10 @@ class SolverConfig:
             raise ConfigError("seed must be nonnegative")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.refine_top_k is not None and self.refine_top_k < 0:
-            raise ConfigError("refine_top_k must be nonnegative")
-        if self.beta < 0:
-            raise ConfigError("beta must be nonnegative")
-        if self.stability_tol < 0:
-            raise ConfigError("stability_tol must be nonnegative")
-        if not self.norm_rel_tol > 0:
-            raise ConfigError("norm_rel_tol must be positive")
+        try:
+            self.fitness_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def fitness_config(self) -> FitnessConfig:
         return FitnessConfig(
@@ -128,8 +123,8 @@ class RunResult:
     feasible: bool
     global_evals: int
     local_evals: int
-    history: tuple[GenerationRecord, ...]
     wall_time: float
+    history: tuple[GenerationRecord, ...]
 
 
 def _candidate_rng(seed: int, generation: int, index: int) -> np.random.Generator:
@@ -186,25 +181,19 @@ def _run(
         global_evals += k
 
         if config.local_search_enabled:
-            if config.refine_top_k is None:
-                refine_idx = list(range(k))
-            else:
-                order0 = sorted(range(k), key=lambda i: (-evals[i].fitness, i))
-                refine_idx = sorted(order0[: config.refine_top_k])
             refined = run_local_batch(
-                candidates[refine_idx],
-                [evals[i] for i in refine_idx],
+                candidates,
+                evals,
                 sigma_gen,
                 config.t_s,
                 score,
-                [_candidate_rng(config.seed, generation, i) for i in refine_idx],
+                [_candidate_rng(config.seed, generation, i) for i in range(k)],
                 local_params,
                 fitness=operator.attrgetter("fitness"),
             )
-            for i, (alpha_opt, ev_opt) in zip(refine_idx, refined):
-                candidates[i] = alpha_opt
-                evals[i] = ev_opt
-            local_evals += config.t_s * len(refine_idx)
+            candidates = np.array([alpha for alpha, _ in refined])
+            evals = [ev for _, ev in refined]
+            local_evals += config.t_s * k
 
         order = sorted(range(k), key=lambda i: (-evals[i].fitness, i))
         top = order[0]
@@ -255,8 +244,8 @@ def _run(
         feasible=best_ev.feasible,
         global_evals=global_evals,
         local_evals=local_evals,
-        history=tuple(history),
         wall_time=time.perf_counter() - t_start,
+        history=tuple(history),
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import STABILITY_TOL, _real_eig, hinf_norm, spectral_abscissa
+from .analysis import STABILITY_TOL, _real_eig, hinf_norm, is_hurwitz
 from .errors import DimensionMismatchError, SofsynError
 from .model import ClosedLoopRealization, PlantRealization, close_loop, unflatten_gain
 
@@ -99,7 +99,7 @@ def feasibility(plant: PlantRealization, alpha, tol: float = STABILITY_TOL) -> b
     """True iff the closed loop under the gain encoded by ``alpha`` is Hurwitz."""
     dims = plant.dims
     F = unflatten_gain(alpha, dims.n_u, dims.n_y)
-    return spectral_abscissa(close_loop(plant, F).A_F) < -tol
+    return is_hurwitz(close_loop(plant, F).A_F, tol).hurwitz
 
 
 def evaluate(

@@ -1,0 +1,38 @@
+"""The names through which perfbench drives the program stay bound.
+
+perfbench/tracing.py patches module attributes by name and perfbench builds
+configs and command lines of its own; deleting a binding the solve path no
+longer calls would break the benchmark, not the test suite. The module is
+loaded from its file without being run as a script.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from sofsyn.cli import build_parser
+from sofsyn.driver import SolverConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_bindings_resolve(monkeypatch):
+    for module, attr, _ in _load_tracing(monkeypatch).PATCHES:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_benchmark_config_and_flags_accepted():
+    assert SolverConfig(threads=1).threads == 1
+    args = build_parser().parse_args(
+        ["bench", "--problem", "p.plant", "--threads", "2", "--format", "json", "--out", "o"]
+    )
+    assert args.threads == 2

@@ -101,18 +101,6 @@ def test_campaign_runs_and_is_reproducible():
     assert sums1[0].success_count == 3
 
 
-def test_campaign_threads_do_not_change_rows():
-    spec = CampaignSpec(
-        problems=(builtin_plant_path("double_integrator"),),
-        config=di_config(),
-        runs=4,
-    )
-    rows1, _ = run_campaign(spec)
-    rows3, _ = run_campaign(CampaignSpec(**{**vars(spec), "threads": 3}))
-    for a, b in zip(rows1, rows3):
-        assert a.objective == b.objective and a.run_index == b.run_index
-
-
 def test_campaign_single_run_degenerate_stats():
     spec = CampaignSpec(
         problems=(builtin_plant_path("double_integrator"),),
@@ -228,6 +216,10 @@ def test_cli_solve_double_integrator_sa(tmp_path, capsys):
     assert code == 0
     assert "feasible: true" in out
     doc = json.loads(out_path.read_text())
+    assert list(doc) == [
+        "format", "version", "best_alpha", "best_fitness", "best_objective", "feasible",
+        "global_evals", "local_evals", "wall_time_s", "history",
+    ]
     assert doc["format"] == "sofsyn.run"
     assert doc["best_objective"] < 0
     assert doc["feasible"] is True
@@ -346,20 +338,36 @@ def test_cli_bench_json_format(tmp_path, capsys):
 
 
 def test_cli_threads_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SOFSYN_THREADS", "2")
-    code = main([
-        "solve", "--problem", builtin_plant_path("double_integrator"),
-        "--objective", "sa", "--budget", "300", "--local-iters", "5",
-    ])
-    capsys.readouterr()
-    assert code == 0
-
-
-def test_cli_threads_env_var_invalid(monkeypatch, capsys):
+    """--threads and the retired SOFSYN_THREADS variable change no row."""
     monkeypatch.setenv("SOFSYN_THREADS", "lots")
+    args = [
+        "bench", "--problem", builtin_plant_path("double_integrator"),
+        "--problem", builtin_plant_path("first_order_lag"),
+        "--objective", "sa", "--runs", "2", "--budget", "300", "--local-iters", "5",
+        "--format", "json",
+    ]
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        assert main(args + ["--threads", threads, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        for rec in doc["rows"]:
+            rec.pop("wall_time_s")
+        for rec in doc["summary"]:
+            rec.pop("mean_wall_time_s")
+        docs.append(doc)
+    capsys.readouterr()
+    assert docs[0] == docs[1]
+    assert [(r["problem"], r["run_index"]) for r in docs[0]["rows"]] == [
+        ("double_integrator", 0), ("double_integrator", 1),
+        ("first_order_lag", 0), ("first_order_lag", 1),
+    ]
+
+
+def test_cli_threads_must_be_positive(capsys):
     code = main([
         "solve", "--problem", builtin_plant_path("double_integrator"),
-        "--objective", "sa", "--budget", "300",
+        "--objective", "sa", "--budget", "300", "--threads", "0",
     ])
     assert code == 2
 

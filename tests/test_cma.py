@@ -19,6 +19,7 @@ from sofsyn.cma import (
     update_paths,
     update_step_size,
 )
+from sofsyn.errors import ConfigError
 
 
 def hand_params(n):
@@ -380,6 +381,21 @@ def test_reset_on_sigma_underflow():
     state = init_state(np.zeros(1))
     state.sigma = 1e-13
     assert maybe_reset(state, ResetLimits(), None)
+
+
+@pytest.mark.parametrize("limits", [
+    dict(sigma_reset=0.0),
+    dict(sigma_min=0.0),
+    dict(sigma_min=1.0),
+    dict(sigma_reset=1e8),
+    dict(sigma_max=math.inf),
+    dict(sigma_reset=math.nan),
+])
+def test_reset_limits_validated(limits):
+    """Limits are finite and a reset lands inside [sigma_min, sigma_max]."""
+    with pytest.raises(ConfigError):
+        ResetLimits(**limits)
+    ResetLimits(sigma_min=1.0, sigma_max=1.0, sigma_reset=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,6 @@ def test_local_eval_accounting():
     assert res.local_evals == 40 * 7  # every offspring refined
 
 
-def test_local_eval_accounting_top_k():
-    n = 3
-    p = default_params(n).p
-    cfg = SolverConfig(t_max=5 * p, t_s=4, seed=3, refine_top_k=2)
-    res = solve_raw(sphere_at(np.ones(n)), n, cfg)
-    assert res.local_evals == 5 * 2 * 4
-
-
 def test_charged_budget_bounds_total():
     n = 3
     cfg = SolverConfig(t_max=100, t_s=10, seed=4, charge_local_to_budget=True)
@@ -237,10 +229,13 @@ def test_tolerances_validated():
     with pytest.raises(ConfigError):
         SolverConfig(stability_tol=-1.0)
     SolverConfig(stability_tol=0.0)
+    with pytest.raises(ConfigError):
+        SolverConfig(infeasible_penalty=0.0)
+    with pytest.raises(ConfigError):
+        SolverConfig(beta=-1.0)
 
 
-@pytest.mark.parametrize("refine_top_k", [None, 3])
-def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch, refine_top_k):
+def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch):
     """Every refined offspring of a solve ends exactly where run_local takes
     it alone, on the substream keyed by (seed, generation, index)."""
     from sofsyn import driver
@@ -260,13 +255,13 @@ def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch, refine
 
     def recording_batches(plant, X, kind, cfg):
         evals = evaluate_batch(plant, X, kind, cfg)
-        batches.append(list(evals))  # the driver overwrites refined entries
+        batches.append(list(evals))
         return evals
 
     monkeypatch.setattr(driver, "run_local_batch", recording)
     monkeypatch.setattr(driver, "evaluate_batch", recording_batches)
     plant = load_problem(builtin_plant_path("rand4"))
-    config = SolverConfig(t_max=24, t_s=6, seed=11, refine_top_k=refine_top_k)
+    config = SolverConfig(t_max=24, t_s=6, seed=11)
     p = default_params(plant.dims.n).p
     solve(plant, config)
     assert len(calls) == 3
@@ -274,17 +269,10 @@ def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch, refine
     for generation, (alphas, scores, sigma, budget, score, states, params, out) in enumerate(
         calls
     ):
-        assert len(out) == (p if refine_top_k is None else refine_top_k)
-        streams = [driver._candidate_rng(11, generation, i).bit_generator.state
-                   for i in range(p)]
-        population = populations[generation]
-        if refine_top_k is None:
-            refined = range(p)
-        else:
-            order = sorted(range(p), key=lambda i: (-population[i].fitness, i))
-            refined = sorted(order[:refine_top_k])
-        assert states == [streams[i] for i in refined]
-        assert scores == [population[i] for i in refined]
+        assert len(out) == p
+        assert states == [driver._candidate_rng(11, generation, i).bit_generator.state
+                          for i in range(p)]
+        assert scores == populations[generation]
         for alpha, ev, state, (alpha_opt, ev_opt) in zip(alphas, scores, states, out):
             rng = np.random.Generator(np.random.PCG64())
             rng.bit_generator.state = state
