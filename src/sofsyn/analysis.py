@@ -2,12 +2,13 @@
 
 Two independent routes to the H-infinity norm live here:
 
-* :func:`hinf_norm` -- production path: bisection on gamma using the
-  Hamiltonian-matrix test from the bounded real lemma (gamma exceeds the
-  norm iff the Hamiltonian has no purely imaginary eigenvalues).
+* :func:`hinf_norm` -- production path: the level-set iteration on gamma
+  using the Hamiltonian-matrix test from the bounded real lemma (gamma
+  exceeds the norm iff the Hamiltonian has no purely imaginary
+  eigenvalues, and those eigenvalues mark where the gain equals gamma).
 * :func:`hinf_norm_grid` -- oracle path: dense frequency sampling with
   golden-section refinement around the sampled peak. A certified lower
-  bound on the true norm; kept independent of the bisection code so the
+  bound on the true norm; kept independent of the level-set code so the
   two can cross-check each other.
 """
 
@@ -57,17 +58,18 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class HinfResult:
-    """Outcome of the bisection H-infinity computation.
+    """Outcome of the level-set H-infinity computation.
 
     Attributes
     ----------
     value : float
-        The computed norm (relative accuracy per the requested tolerance).
+        A gain the loop attains: sigma_max(D11), or sigma_max(G(jw)) at
+        ``peak_frequency``. The norm lies in [value, (1 + rel_tol) * value].
     peak_frequency : float
-        Frequency (rad/s, >= 0) at which the gain is largest among the
-        candidate frequencies examined; 0 for DC-dominated responses.
+        Frequency (rad/s, >= 0) at which ``value`` is attained; 0 when
+        sigma_max(D11) is the bound.
     iterations : int
-        Number of gamma-bisection rounds performed.
+        Number of Hamiltonian eigensolves performed.
     """
 
     value: float
@@ -261,20 +263,25 @@ def _imaginary_axis_freqs(H: np.ndarray) -> np.ndarray:
 
 
 def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6) -> HinfResult:
-    """H-infinity norm by gamma bisection with the Hamiltonian eigenvalue test.
+    """H-infinity norm by the level-set iteration on the Hamiltonian test.
 
-    The bracket starts at [max(sigma_max(D11), probe estimate), 2x that
-    estimate], where the probe estimate samples the gain at w = 0, at the
-    resonant frequencies of A_F, and on a short logarithmic sweep. The
-    upper end is doubled until the Hamiltonian test certifies it. The
-    returned value has relative accuracy ``rel_tol``.
+    The lower bound starts at the largest of sigma_max(D11) and the gain
+    sampled at w = 0, at the resonant frequencies of A_F and on a short
+    logarithmic sweep. Each round takes the imaginary-axis eigenvalues of
+    the Hamiltonian at gamma = (1 + rel_tol) * bound (Boyd-Balakrishnan /
+    Bruinsma-Steinbuch) and raises the bound to the largest gain at those
+    crossing frequencies and at their midpoints. It stops when no crossing
+    remains, which certifies the norm within [value, (1 + rel_tol) * value],
+    or when the crossings raise no gain above the bound, which makes them
+    rounding error rather than gain.
 
     Raises
     ------
     InstabilityError
         If A_F is not Hurwitz.
     BracketError
-        If no certifiable upper bound is found (pathological conditioning).
+        If the iteration has not stopped after 64 rounds (pathological
+        conditioning).
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -298,40 +305,20 @@ def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6) -> HinfResult:
     if lo == 0.0:
         # gain is zero everywhere it was sampled and there is no feedthrough
         return HinfResult(value=0.0, peak_frequency=0.0, iterations=0)
-    hi = 2.0 * lo
+    peak_frequency = float(probes[probe_peak]) if probe_max > d_norm else 0.0
 
     build = _hamiltonian_builder(cl)
-    crossings = np.array([])
-    for _ in range(64):
-        freqs = _imaginary_axis_freqs(build(hi))
+    for iterations in range(1, 65):
+        freqs = np.unique(_imaginary_axis_freqs(build((1.0 + rel_tol) * lo)))
         if freqs.size == 0:
             break
-        crossings = freqs
-        lo, hi = hi, 2.0 * hi
+        candidates = np.concatenate((freqs, 0.5 * (freqs[:-1] + freqs[1:])))
+        gains = _max_gains(cl, candidates)
+        best = int(np.argmax(gains))
+        if gains[best] <= lo:
+            break
+        lo, peak_frequency = float(gains[best]), float(candidates[best])
     else:
-        raise BracketError(
-            f"no certified upper bound for the norm below gamma={hi:.6g}"
-        )
+        raise BracketError(f"level-set iteration did not stop in 64 rounds (bound {lo:.6g})")
 
-    iterations = 0
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        freqs = _imaginary_axis_freqs(build(mid))
-        if freqs.size > 0:
-            lo = mid
-            crossings = freqs
-        else:
-            hi = mid
-        iterations += 1
-
-    value = 0.5 * (lo + hi)
-
-    candidates = [0.0, float(probes[probe_peak])]
-    if crossings.size > 0:
-        freqs = np.sort(crossings)
-        candidates.extend(freqs.tolist())
-        candidates.extend((0.5 * (freqs[:-1] + freqs[1:])).tolist())
-    candidates = np.unique(np.asarray(candidates))
-    peak_frequency = float(candidates[np.argmax(_max_gains(cl, candidates))])
-
-    return HinfResult(value=value, peak_frequency=peak_frequency, iterations=iterations)
+    return HinfResult(value=lo, peak_frequency=peak_frequency, iterations=iterations)

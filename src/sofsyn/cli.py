@@ -161,12 +161,12 @@ def _cmd_oracle(args) -> int:
             f"gain has shape {F.shape}, plant needs ({dims.n_u}, {dims.n_y})"
         )
     cl = close_loop(plant, F)
-    bisect = hinf_norm(cl)
+    level_set = hinf_norm(cl)
     grid = hinf_norm_grid(cl)
-    print(f"bisection norm : {bisect.value!r}")
+    print(f"level-set norm : {level_set.value!r}")
     print(f"grid oracle    : {grid!r}")
-    print(f"difference     : {abs(bisect.value - grid):.6e}")
-    print(f"peak frequency : {bisect.peak_frequency!r} rad/s")
+    print(f"difference     : {abs(level_set.value - grid):.6e}")
+    print(f"peak frequency : {level_set.peak_frequency!r} rad/s")
     return 0
 
 
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_oracle = sub.add_parser(
-        "oracle", help="compare bisection and grid H-infinity norms for a fixed gain"
+        "oracle", help="compare level-set and grid H-infinity norms for a fixed gain"
     )
     p_oracle.add_argument("--problem", required=True, help="plant file")
     p_oracle.add_argument(

@@ -30,7 +30,7 @@ class InstabilityError(SofsynError, ValueError):
 
 
 class BracketError(SofsynError, RuntimeError):
-    """The gamma bisection could not certify an upper bound for the norm."""
+    """The level-set iteration for the H-infinity norm did not stop within its round cap."""
 
 
 class ConfigError(SofsynError, ValueError):

@@ -86,7 +86,7 @@ def test_criterion_hinf_analytic():
 
 
 def test_criterion_hinf_oracle_equivalence():
-    """50 random stable closed loops (n_x <= 6): |bisection - grid| <=
+    """50 random stable closed loops (n_x <= 6): |level-set - grid| <=
     max(1e-3 * value, 1e-4) on all; total runtime < 30 s."""
     rng = np.random.default_rng(777)
     t0 = time.perf_counter()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sofsyn import analysis
 from sofsyn.analysis import (
     FrequencyGrid,
     freq_response,
@@ -10,6 +11,7 @@ from sofsyn.analysis import (
     spectral_abscissa,
 )
 from sofsyn.errors import (
+    BracketError,
     DimensionMismatchError,
     InstabilityError,
     NonFiniteEntryError,
@@ -205,7 +207,7 @@ def test_grid_spec_frequencies():
 
 
 # ---------------------------------------------------------------------------
-# bisection norm
+# level-set norm
 
 
 def test_hinf_first_order_lag():
@@ -275,6 +277,61 @@ def test_hinf_value_at_least_d_norm():
         cl = stable_random_loop(rng, n_x=3, feedthrough=1.0)
         d_norm = np.linalg.svd(cl.D11, compute_uv=False)[0]
         assert hinf_norm(cl).value >= d_norm - 1e-12
+
+
+@pytest.mark.parametrize("zeta", [1e-4, 1e-5])
+@pytest.mark.parametrize("omega0", [0.1, 1.0, 30.0])
+def test_hinf_lightly_damped_closed_form(zeta, omega0):
+    cl = ClosedLoopRealization(
+        A_F=[[0.0, 1.0], [-(omega0**2), -2 * zeta * omega0]],
+        B1=[[0.0], [omega0**2]],
+        C_F=[[1.0, 0.0]],
+        D11=[[0.0]],
+    )
+    exact = 1.0 / (2 * zeta * np.sqrt(1 - zeta**2))
+    rel_tol = 1e-6
+    assert abs(hinf_norm(cl, rel_tol).value - exact) <= rel_tol * exact
+
+
+@pytest.mark.parametrize("feedthrough", [0.0, 0.3])
+def test_hinf_near_marginal_agrees_with_fine_grid(feedthrough):
+    # a pole this close to the axis leaves Hamiltonian eigenvalues that the
+    # on-axis test counts as crossings at every gamma
+    fine = FrequencyGrid(omega_min=1e-5, omega_max=1e5, points_per_decade=2000)
+    rng = np.random.default_rng(17)
+    rel_tol = 1e-6
+    for k in range(10):
+        cl = stable_random_loop(rng, 2 + k % 5, margin=1e-7, feedthrough=feedthrough)
+        value = hinf_norm(cl, rel_tol).value
+        assert abs(value - hinf_norm_grid(cl, fine)) <= rel_tol * value, f"loop {k}"
+
+
+def test_hinf_value_is_attained_at_peak_frequency():
+    rng = np.random.default_rng(18)
+    for k in range(15):
+        cl = stable_random_loop(rng, 2 + k % 5, feedthrough=(0.0, 0.3, 3.0)[k % 3])
+        res = hinf_norm(cl)
+        d_norm = np.linalg.svd(cl.D11, compute_uv=False)[0]
+        gain = np.linalg.svd(freq_response(cl, res.peak_frequency), compute_uv=False)[0]
+        assert res.value == pytest.approx(max(d_norm, gain), rel=1e-12, abs=0)
+
+
+def test_hinf_feedthrough_bound_has_zero_peak_frequency():
+    # s / (s + 1): the gain rises towards sigma_max(D11) = 1 and never reaches it
+    cl = ClosedLoopRealization(A_F=[[-1.0]], B1=[[1.0]], C_F=[[-1.0]], D11=[[1.0]])
+    res = hinf_norm(cl)
+    assert res.value == 1.0
+    assert res.peak_frequency == 0.0
+
+
+def test_hinf_round_cap_raises_bracket_error(monkeypatch):
+    # a crossing that never goes away and a gain that rises every round
+    rises = iter(range(1, 1000))
+    monkeypatch.setattr(analysis, "_imaginary_axis_freqs", lambda H: np.array([1.0]))
+    monkeypatch.setattr(analysis, "_max_gains", lambda cl, w: np.full(w.size, next(rises), float))
+    with pytest.raises(BracketError):
+        hinf_norm(FIRST_ORDER_LAG)
+    assert next(rises) == 66  # the probe call plus 64 rounds
 
 
 def test_hinf_rejects_bad_tolerance():

@@ -10,8 +10,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from sofsyn.analysis import hinf_norm
 from sofsyn.cli import build_parser
 from sofsyn.driver import SolverConfig
+from sofsyn.model import ClosedLoopRealization
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,3 +38,10 @@ def test_benchmark_config_and_flags_accepted():
         ["bench", "--problem", "p.plant", "--threads", "2", "--format", "json", "--out", "o"]
     )
     assert args.threads == 2
+
+
+def test_hinf_norm_reports_integer_iterations():
+    # tracing.py sums result.iterations into analysis.hinf_norm.iterations_mean
+    cl = ClosedLoopRealization(A_F=[[-1.0]], B1=[[1.0]], C_F=[[1.0]], D11=[[0.5]])
+    iterations = hinf_norm(cl).iterations
+    assert type(iterations) is int and iterations > 0

@@ -250,7 +250,7 @@ def test_cli_oracle_first_order_lag(capsys):
         if ":" in line:
             key, _, val = line.partition(":")
             values[key.strip()] = val.split()[0]
-    assert abs(float(values["bisection norm"]) - 1.0) < 1e-4
+    assert abs(float(values["level-set norm"]) - 1.0) < 1e-4
     assert abs(float(values["grid oracle"]) - 1.0) < 1e-4
     assert float(values["difference"]) < 1e-4
 
@@ -260,7 +260,7 @@ def test_cli_oracle_resonant(capsys):
     out = capsys.readouterr().out
     assert code == 0
     peak = 1.0 / (2 * 0.05 * math.sqrt(1 - 0.05**2))
-    for token in ("bisection norm", "grid oracle"):
+    for token in ("level-set norm", "grid oracle"):
         line = next(l for l in out.splitlines() if l.startswith(token))
         assert abs(float(line.split(":")[1].split()[0]) - peak) < 1e-3
 
