@@ -107,7 +107,7 @@ def spectral_abscissa(M) -> float:
 
 def is_hurwitz(M, tol: float = STABILITY_TOL) -> StabilityReport:
     """Stability verdict: Hurwitz iff the abscissa is below ``-tol``."""
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     abscissa = spectral_abscissa(M)
     return StabilityReport(abscissa=abscissa, hurwitz=bool(abscissa < -tol))
@@ -141,25 +141,20 @@ def _max_gains(cl: ClosedLoopRealization, omegas: np.ndarray) -> np.ndarray:
 class FrequencyGrid:
     """Sampling scheme used by the grid oracle.
 
-    Logarithmically spaced points between ``omega_min`` and ``omega_max``
-    (``points_per_decade`` per decade), optionally including w = 0, with
-    golden-section refinement around the sampled argmax.
+    w = 0 and logarithmically spaced points between ``omega_min`` and
+    ``omega_max`` (``points_per_decade`` per decade); the oracle refines the
+    sampled argmax by golden-section search.
     """
 
     omega_min: float = 1e-4
     omega_max: float = 1e4
     points_per_decade: int = 400
-    include_zero: bool = True
-    refine: bool = True
 
     def frequencies(self) -> np.ndarray:
         lo = np.log10(self.omega_min)
         hi = np.log10(self.omega_max)
         count = int(round(self.points_per_decade * (hi - lo))) + 1
-        omegas = np.logspace(lo, hi, count)
-        if self.include_zero:
-            omegas = np.concatenate(([0.0], omegas))
-        return omegas
+        return np.concatenate(([0.0], np.logspace(lo, hi, count)))
 
 
 DEFAULT_GRID = FrequencyGrid()
@@ -202,12 +197,11 @@ def hinf_norm_grid(cl: ClosedLoopRealization, grid: FrequencyGrid = DEFAULT_GRID
     gains = _max_gains(cl, omegas)
     k = int(np.argmax(gains))
     best = float(gains[k])
-    if grid.refine:
-        a = omegas[k - 1] if k > 0 else omegas[k]
-        b = omegas[k + 1] if k + 1 < omegas.size else omegas[k]
-        if b > a:
-            _, refined = _golden_max(lambda w: float(_max_gains(cl, np.array([w]))[0]), a, b)
-            best = max(best, refined)
+    a = omegas[k - 1] if k > 0 else omegas[k]
+    b = omegas[k + 1] if k + 1 < omegas.size else omegas[k]
+    if b > a:
+        _, refined = _golden_max(lambda w: float(_max_gains(cl, np.array([w]))[0]), a, b)
+        best = max(best, refined)
     return best
 
 
@@ -262,18 +256,21 @@ def _imaginary_axis_freqs(H: np.ndarray) -> np.ndarray:
     return np.abs(wi[on_axis])
 
 
-def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6) -> HinfResult:
+def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6, poles=None) -> HinfResult:
     """H-infinity norm by the level-set iteration on the Hamiltonian test.
 
-    The lower bound starts at the largest of sigma_max(D11) and the gain
-    sampled at w = 0, at the resonant frequencies of A_F and on a short
-    logarithmic sweep. Each round takes the imaginary-axis eigenvalues of
-    the Hamiltonian at gamma = (1 + rel_tol) * bound (Boyd-Balakrishnan /
-    Bruinsma-Steinbuch) and raises the bound to the largest gain at those
-    crossing frequencies and at their midpoints. It stops when no crossing
-    remains, which certifies the norm within [value, (1 + rel_tol) * value],
-    or when the crossings raise no gain above the bound, which makes them
-    rounding error rather than gain.
+    The lower bound starts at the largest of sigma_max(D11), the gain at
+    w = 0 and the gain at w = |lam| for each pole lam of A_F. Each round
+    takes the imaginary-axis eigenvalues of the Hamiltonian at
+    gamma = (1 + rel_tol) * bound (Boyd-Balakrishnan / Bruinsma-Steinbuch)
+    and raises the bound to the largest gain at those crossing frequencies
+    and at their midpoints. It stops when no crossing remains, which
+    certifies the norm within [value, (1 + rel_tol) * value], or when the
+    crossings raise no gain above the bound, which makes them rounding
+    error rather than gain.
+
+    ``poles`` is the ``_real_eig(A_F)`` pair (real parts, imaginary parts)
+    for callers that already hold it; the result does not depend on it.
 
     Raises
     ------
@@ -283,20 +280,16 @@ def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6) -> HinfResult:
         If the iteration has not stopped after 64 rounds (pathological
         conditioning).
     """
-    if rel_tol <= 0:
+    if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
-    A_F = _check_square_finite(cl.A_F)
-    wr, wi = _real_eig(A_F)
+    wr, wi = _real_eig(cl.A_F) if poles is None else poles
     abscissa = float(wr.max())
     if abscissa >= 0:
         raise InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
 
     d_norm = float(np.linalg.svd(cl.D11, compute_uv=False)[0])
 
-    pole_freqs = np.abs(wi)
-    probes = np.unique(
-        np.concatenate(([0.0], pole_freqs[pole_freqs > 0], np.logspace(-4, 4, 33)))
-    )
+    probes = np.unique(np.concatenate(([0.0], np.hypot(wr, wi))))
     probe_gains = _max_gains(cl, probes)
     probe_peak = int(np.argmax(probe_gains))
     probe_max = float(probe_gains[probe_peak])

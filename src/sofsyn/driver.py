@@ -78,15 +78,15 @@ class SolverConfig:
     reset_limits: ResetLimits = field(default_factory=ResetLimits)
 
     def __post_init__(self):
-        if self.t_max < 1:
+        if not self.t_max >= 1:
             raise ConfigError("t_max must be positive")
-        if self.t_s < 1:
+        if not self.t_s >= 1:
             raise ConfigError("t_s must be positive")
-        if self.sigma0 <= 0:
+        if not self.sigma0 > 0:
             raise ConfigError("sigma0 must be positive")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ConfigError("seed must be nonnegative")
-        if self.threads < 1:
+        if not self.threads >= 1:
             raise ConfigError("threads must be >= 1")
         try:
             self.fitness_config()
@@ -228,8 +228,8 @@ def _run(
                 state.path_cov = path_cov
                 state.cov = new_cov
                 state.sigma = new_sigma
-            except EigenSolveError:
-                # degenerate update (e.g. overflowed covariance): force a reset
+            except (EigenSolveError, OverflowError):
+                # degenerate update (overflowed covariance or step size): force a reset
                 state.sigma = math.inf
             state.generation += 1
             maybe_reset(state, config.reset_limits, best_alpha)

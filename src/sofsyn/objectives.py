@@ -65,11 +65,11 @@ class FitnessConfig:
     norm_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
-        if self.infeasible_penalty <= 0:
+        if not self.infeasible_penalty > 0:
             raise ValueError("infeasible_penalty must be positive")
-        if self.stability_tol < 0:
+        if not self.stability_tol >= 0:
             raise ValueError("stability_tol must be nonnegative")
         if not self.norm_rel_tol > 0:
             raise ValueError("norm_rel_tol must be positive")
@@ -142,8 +142,8 @@ def evaluate_batch(
             # overflowed candidate: rank below everything, never selected
             evals.append(Evaluation(-math.inf, math.inf, norm_a, False))
             continue
-        wr, _ = _real_eig(A)
-        abscissa = float(wr.max())
+        poles = _real_eig(A)
+        abscissa = float(poles[0].max())
         feasible = bool(abscissa < -cfg.stability_tol)
         if kind is ObjectiveKind.SPECTRAL_ABSCISSA:
             evals.append(Evaluation(-(abscissa + cfg.beta * norm_a), abscissa, norm_a, feasible))
@@ -153,7 +153,7 @@ def evaluate_batch(
             try:
                 C_F = plant.C1 + plant.D12 @ fc
                 cl = ClosedLoopRealization(A_F=A, B1=plant.B1, C_F=C_F, D11=plant.D11)
-                objective = hinf_norm(cl, rel_tol=cfg.norm_rel_tol).value
+                objective = hinf_norm(cl, rel_tol=cfg.norm_rel_tol, poles=poles).value
             except SofsynError:
                 pass  # norm computation failed despite a stable loop: score as infeasible
         if objective is not None:

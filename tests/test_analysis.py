@@ -138,6 +138,8 @@ def test_is_hurwitz():
     closed = np.array([[0.0, 1.0], [-1.0, -2.0]])
     rep = is_hurwitz(closed)
     assert rep.hurwitz and rep.abscissa == pytest.approx(-1.0, abs=1e-9)
+    with pytest.raises(ValueError):
+        is_hurwitz([[-1.0]], tol=np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +339,76 @@ def test_hinf_round_cap_raises_bracket_error(monkeypatch):
 def test_hinf_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         hinf_norm(FIRST_ORDER_LAG, rel_tol=0.0)
+    with pytest.raises(ValueError):
+        hinf_norm(FIRST_ORDER_LAG, rel_tol=np.nan)
+
+
+def test_hinf_given_poles_change_no_bit():
+    rng = np.random.default_rng(23)
+    for k in range(20):
+        cl = stable_random_loop(rng, 2 + k % 7, feedthrough=(0.0, 0.3)[k % 2])
+        assert hinf_norm(cl, 1e-6, poles=analysis._real_eig(cl.A_F)) == hinf_norm(cl, 1e-6)
+
+
+def test_hinf_real_poles_with_dc_zero():
+    # s / (s + 1)^2: zero gain at w = 0 and a peak of 1/2 at w = 1 = |pole|
+    cl = ClosedLoopRealization(
+        A_F=[[0.0, 1.0], [-1.0, -2.0]], B1=[[0.0], [1.0]], C_F=[[0.0, 1.0]], D11=[[0.0]]
+    )
+    res = hinf_norm(cl)
+    assert res.value == pytest.approx(0.5, rel=1e-6)
+    assert res.peak_frequency == pytest.approx(1.0, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# adversarial loops: the norm is never below the fine grid by more than rel_tol
+
+
+def fine_grid_norm(cl):
+    """Grid oracle at 2000 points per decade on [1e-5, 1e5], one decade at a
+    time so the batched solves stay small at n_x = 32."""
+    return max(
+        hinf_norm_grid(cl, FrequencyGrid(10.0**d, 10.0 ** (d + 1), 2000)) for d in range(-5, 5)
+    )
+
+
+def test_hinf_near_feedthrough_bound_agrees_with_fine_grid():
+    # the norm within 1e-6 relative of sigma_max(D11): R = gamma^2 I - D11'D11
+    # is nearly singular at every gamma the loop tries
+    rng = np.random.default_rng(19)
+    rel_tol = 1e-6
+    for k in range(30):
+        cl = stable_random_loop(rng, 2 + k % 5, feedthrough=1.0)
+        d_norm = np.linalg.svd(cl.D11, compute_uv=False)[0]
+        dynamic = hinf_norm_grid(ClosedLoopRealization(cl.A_F, cl.B1, cl.C_F, 0 * cl.D11))
+        eps = 10.0 ** rng.uniform(-9, -6) * d_norm / dynamic
+        cl = ClosedLoopRealization(cl.A_F, eps * cl.B1, cl.C_F, cl.D11)
+        value = hinf_norm(cl, rel_tol).value
+        assert value <= (1 + 1e-6) * d_norm, f"loop {k} is not near sigma_max(D11)"
+        assert fine_grid_norm(cl) <= (1 + rel_tol) * value, f"seed 19, loop {k}"
+
+
+def test_hinf_badly_scaled_agrees_with_fine_grid():
+    # T A T^-1, T B, C T^-1 for a diagonal T spanning 1e6: same transfer
+    # matrix, much larger ||H||
+    rng = np.random.default_rng(20)
+    rel_tol = 1e-6
+    for k in range(30):
+        n_x = 2 + k % 7
+        cl = stable_random_loop(rng, n_x, feedthrough=(0.0, 0.3)[k % 2])
+        T = 10.0 ** rng.uniform(0, 6, n_x)
+        T[rng.permutation(n_x)[:2]] = (1.0, 1e6)
+        scaled = ClosedLoopRealization(
+            T[:, None] * cl.A_F / T, T[:, None] * cl.B1, cl.C_F / T, cl.D11
+        )
+        value = hinf_norm(scaled, rel_tol).value
+        assert fine_grid_norm(cl) <= (1 + rel_tol) * value, f"seed 20, loop {k}"
+
+
+def test_hinf_large_loops_agree_with_fine_grid():
+    rng = np.random.default_rng(21)
+    rel_tol = 1e-6
+    for k in range(20):
+        cl = stable_random_loop(rng, (8, 16, 24, 32)[k % 4], feedthrough=(0.0, 0.3)[k % 2])
+        value = hinf_norm(cl, rel_tol).value
+        assert fine_grid_norm(cl) <= (1 + rel_tol) * value, f"seed 21, loop {k}"

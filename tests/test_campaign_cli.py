@@ -372,6 +372,16 @@ def test_cli_threads_must_be_positive(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--beta", "--sigma0"])
+def test_cli_nan_setting_rejected(flag, capsys):
+    code = main([
+        "solve", "--problem", builtin_plant_path("double_integrator"),
+        "--objective", "sa", "--budget", "300", flag, "nan",
+    ])
+    assert code == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_campaign_failed_run_recorded_and_continues():
     # rand4 has n=4 (population 8), so t_max=6 is an invalid configuration
     # for it while the double integrator (n=2, population 6) still runs

@@ -233,6 +233,39 @@ def test_tolerances_validated():
         SolverConfig(infeasible_penalty=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(beta=-1.0)
+    for name in ("beta", "stability_tol", "infeasible_penalty", "sigma0", "norm_rel_tol"):
+        with pytest.raises(ConfigError):
+            SolverConfig(**{name: math.nan})
+
+
+def test_step_size_overflow_reseeds_at_best(monkeypatch):
+    """A step-size update that overflows re-seeds the distribution at the
+    best point, like a degenerate covariance update, instead of ending the run."""
+    from sofsyn import driver
+
+    updates = []
+    resets = []
+    update_step_size, maybe_reset = driver.update_step_size, driver.maybe_reset
+
+    def overflow_once(state, path_sigma, params):
+        updates.append(state.sigma)
+        if len(updates) == 3:
+            return state.sigma * math.exp(1e4)
+        return update_step_size(state, path_sigma, params)
+
+    def recording(state, limits, best_alpha):
+        resets.append(maybe_reset(state, limits, best_alpha))
+        if resets[-1]:
+            assert np.array_equal(state.mean, best_alpha)
+        return resets[-1]
+
+    monkeypatch.setattr(driver, "update_step_size", overflow_once)
+    monkeypatch.setattr(driver, "maybe_reset", recording)
+    cfg = SolverConfig(t_max=120, seed=12, sigma0=1.0)
+    res = solve_raw(sphere_at(np.zeros(2)), 2, cfg)
+    assert res.global_evals == 120
+    assert resets[2] and resets.count(True) == 1
+    assert res.history[3].sigma == cfg.reset_limits.sigma_reset
 
 
 def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch):

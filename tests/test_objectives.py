@@ -183,6 +183,9 @@ def test_fitness_config_validation():
     with pytest.raises(ValueError):
         FitnessConfig(stability_tol=-1.0)
     FitnessConfig(stability_tol=0.0)
+    for name in ("beta", "infeasible_penalty", "stability_tol", "norm_rel_tol"):
+        with pytest.raises(ValueError):
+            FitnessConfig(**{name: math.nan})
 
 
 # A_F = A + B f C = [[1 + 2f, 1 + f], [6f, -2 + 3f]] for a scalar gain f:
@@ -205,11 +208,11 @@ def test_evaluate_batch_rows_match_single_evaluations(kind, monkeypatch):
 
     original = objectives.hinf_norm
 
-    def failing_below(cl, rel_tol):
+    def failing_below(cl, rel_tol, poles=None):
         # stands in for a norm failure on the f = -2 row (A_F[0, 0] = -3)
         if cl.A_F[0, 0] < -2.5:
             raise BracketError("no certifiable upper bound")
-        return original(cl, rel_tol=rel_tol)
+        return original(cl, rel_tol=rel_tol, poles=poles)
 
     monkeypatch.setattr(objectives, "hinf_norm", failing_below)
     cfg = FitnessConfig(beta=1e-3)
@@ -252,3 +255,21 @@ def test_evaluate_batch_shape_checked(double_integrator):
     with pytest.raises(DimensionMismatchError):
         evaluate_batch(double_integrator, np.zeros((3, 5)), ObjectiveKind.HINF_NORM)
     assert evaluate_batch(double_integrator, np.zeros((0, 2)), ObjectiveKind.HINF_NORM) == []
+
+
+def test_feasible_hinf_row_reuses_the_stability_eigensolve(double_integrator, monkeypatch):
+    """A feasible H-infinity row eigensolves A_F once, for the stability
+    verdict, and hinf_norm adds only its Hamiltonian eigensolves."""
+    from sofsyn import analysis
+    import sofsyn.objectives as objectives
+
+    solves = []
+    results = []
+    dgeev, hinf_norm = analysis.dgeev, objectives.hinf_norm
+    monkeypatch.setattr(analysis, "dgeev", lambda *a, **k: solves.append(1) or dgeev(*a, **k))
+    monkeypatch.setattr(
+        objectives, "hinf_norm", lambda *a, **k: results.append(hinf_norm(*a, **k)) or results[-1]
+    )
+    ev = evaluate(double_integrator, [-1.0, -2.0], ObjectiveKind.HINF_NORM)
+    assert ev.feasible and len(results) == 1
+    assert len(solves) == 1 + results[0].iterations
