@@ -256,7 +256,9 @@ def _imaginary_axis_freqs(H: np.ndarray) -> np.ndarray:
     return np.abs(wi[on_axis])
 
 
-def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6, poles=None) -> HinfResult:
+def hinf_norm(
+    cl: ClosedLoopRealization, rel_tol: float = 1e-6, poles=None, stop=None
+) -> HinfResult:
     """H-infinity norm by the level-set iteration on the Hamiltonian test.
 
     The lower bound starts at the largest of sigma_max(D11), the gain at
@@ -271,6 +273,13 @@ def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6, poles=None) -> H
 
     ``poles`` is the ``_real_eig(A_F)`` pair (real parts, imaginary parts)
     for callers that already hold it; the result does not depend on it.
+
+    ``stop`` is an optional predicate on the lower bound, checked after the
+    pole probes and after each raise of the bound. Once it holds, the call
+    returns that bound as ``value``: still a gain attained at
+    ``peak_frequency``, but possibly below the norm by more than
+    ``rel_tol``. ``iterations`` is 0 when it stops at the probe bound. A
+    predicate that never holds leaves the result unchanged.
 
     Raises
     ------
@@ -287,7 +296,7 @@ def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6, poles=None) -> H
     if abscissa >= 0:
         raise InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
 
-    d_norm = float(np.linalg.svd(cl.D11, compute_uv=False)[0])
+    d_norm = float(np.linalg.svd(cl.D11, compute_uv=False)[0]) if cl.D11.any() else 0.0
 
     probes = np.unique(np.concatenate(([0.0], np.hypot(wr, wi))))
     probe_gains = _max_gains(cl, probes)
@@ -295,10 +304,10 @@ def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6, poles=None) -> H
     probe_max = float(probe_gains[probe_peak])
 
     lo = max(d_norm, probe_max)
-    if lo == 0.0:
-        # gain is zero everywhere it was sampled and there is no feedthrough
-        return HinfResult(value=0.0, peak_frequency=0.0, iterations=0)
     peak_frequency = float(probes[probe_peak]) if probe_max > d_norm else 0.0
+    if lo == 0.0 or (stop is not None and stop(lo)):
+        # zero gain wherever sampled and no feedthrough, or bound enough for the caller
+        return HinfResult(value=lo, peak_frequency=peak_frequency, iterations=0)
 
     build = _hamiltonian_builder(cl)
     for iterations in range(1, 65):
@@ -311,6 +320,8 @@ def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6, poles=None) -> H
         if gains[best] <= lo:
             break
         lo, peak_frequency = float(gains[best]), float(candidates[best])
+        if stop is not None and stop(lo):
+            break
     else:
         raise BracketError(f"level-set iteration did not stop in 64 rounds (bound {lo:.6g})")
 

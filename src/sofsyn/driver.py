@@ -133,7 +133,7 @@ def _candidate_rng(seed: int, generation: int, index: int) -> np.random.Generato
 
 
 def _run(
-    score: Callable[[np.ndarray], list[Evaluation]],
+    score: Callable[..., list[Evaluation]],
     n: int,
     config: SolverConfig,
     progress: Optional[Callable[[GenerationRecord], None]] = None,
@@ -264,8 +264,8 @@ def solve(
     fitness_cfg = config.fitness_config()
     kind = config.objective
 
-    def score(X: np.ndarray) -> list[Evaluation]:
-        return evaluate_batch(plant, X, kind, fitness_cfg)
+    def score(X: np.ndarray, floors=None) -> list[Evaluation]:
+        return evaluate_batch(plant, X, kind, fitness_cfg, floors)
 
     return _run(score, plant.dims.n, config, progress)
 
@@ -283,7 +283,7 @@ def solve_raw(
     outside the control-synthesis setting.
     """
 
-    def score(X: np.ndarray) -> list[Evaluation]:
+    def score(X: np.ndarray, floors=None) -> list[Evaluation]:
         values = [float(fitness_fn(alpha)) for alpha in X]
         norms = [float(np.linalg.norm(alpha)) for alpha in X]
         return [Evaluation(v, -v, norm, True) for v, norm in zip(values, norms)]

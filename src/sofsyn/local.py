@@ -189,7 +189,7 @@ def run_local(
     """
     [(best_alpha, best_fitness)] = run_local_batch(
         np.asarray(alpha, dtype=float).reshape(1, -1), [float(fitness)], global_sigma, budget,
-        lambda X: [float(fitness_fn(X[0]))], [rng], params,
+        lambda X, floors: [float(fitness_fn(X[0]))], [rng], params,
     )
     return best_alpha, best_fitness, budget
 
@@ -209,9 +209,14 @@ def run_local_batch(
 
     Candidate i starts from score ``scores[i]`` and draws from ``rngs[i]``.
     Each of the ``budget`` steps scores the offspring of all candidates
-    with one ``score_batch`` call (a matrix of rows in, one score per row
-    out); ``fitness`` maps a score to its scalar fitness. Returns, per
-    candidate, the best point encountered and its score.
+    with one ``score_batch(X, floors)`` call: a matrix of rows in, one
+    score per row out, and ``floors[i]`` is the fitness of row i's parent.
+    A row can only replace its parent by scoring above that floor, so the
+    scorer may return, for a row that provably scores at most its floor,
+    any score whose fitness lies between the exact one and the floor; the
+    outcome is then the same as with exact scores. ``fitness`` maps a score
+    to its scalar fitness. Returns, per candidate, the best point
+    encountered and its score.
     """
     alphas = np.asarray(alphas, dtype=float)
     m, n = alphas.shape
@@ -225,7 +230,10 @@ def run_local_batch(
         steps = [sample_offspring(state, rng) for state, rng in zip(states, rngs)]
         for state in states:
             update_success_and_sigma(state, params)
-        new_scores = score_batch(np.array([offspring for offspring, _ in steps]))
+        new_scores = score_batch(
+            np.array([offspring for offspring, _ in steps]),
+            [state.best_fitness for state in states],
+        )
         for i, (state, (offspring, eps), score) in enumerate(zip(states, steps, new_scores)):
             value = fitness(score)
             if value > state.best_fitness:

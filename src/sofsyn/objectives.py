@@ -81,7 +81,10 @@ class Evaluation:
 
     ``objective`` is the raw objective value (math.inf when the H-infinity
     norm is undefined for an unstable loop); ``fitness`` is the
-    maximization-convention score actually used for selection.
+    maximization-convention score actually used for selection. A row that
+    :func:`evaluate_batch` stopped at its floor has an attained gain below
+    the norm as ``objective``, so its ``fitness`` is an upper bound on the
+    exact one, and that bound is at most the floor.
     """
 
     fitness: float
@@ -118,11 +121,20 @@ def evaluate_batch(
     X,
     kind: ObjectiveKind,
     cfg: FitnessConfig = FitnessConfig(),
+    floors=None,
 ) -> list[Evaluation]:
     """Score every row of ``X`` (one decision vector per row) exactly as
     that row would score alone. Deterministic; never raises on an unstable
     or numerically failing candidate (those become penalized evaluations so
-    the optimizer can keep running)."""
+    the optimizer can keep running).
+
+    ``floors``, one fitness per row, lets the H-infinity norm of a row stop
+    as soon as the row provably scores at most its floor (an elitist step
+    needs no more to reject an offspring). Such a row's fitness is then an
+    upper bound on its exact fitness and is itself at most the floor; rows
+    whose exact fitness exceeds their floor score exactly as without one.
+    Floors below ``-cfg.infeasible_penalty`` are ignored, because a stable
+    row whose norm computation fails scores exactly that penalty."""
     X = np.asarray(X, dtype=float)
     dims = plant.dims
     if X.ndim != 2 or X.shape[1] != dims.n:
@@ -136,8 +148,10 @@ def evaluate_batch(
         FC = F @ plant.C
         A_F = plant.A + plant.B @ FC
     finite = np.isfinite(X).all(axis=1) & np.isfinite(A_F).all(axis=(1, 2))
+    if floors is None:
+        floors = [-math.inf] * len(X)
     evals = []
-    for A, fc, norm_a, ok in zip(A_F, FC, norms, finite):
+    for A, fc, norm_a, ok, floor in zip(A_F, FC, norms, finite, floors):
         if not ok:
             # overflowed candidate: rank below everything, never selected
             evals.append(Evaluation(-math.inf, math.inf, norm_a, False))
@@ -153,7 +167,11 @@ def evaluate_batch(
             try:
                 C_F = plant.C1 + plant.D12 @ fc
                 cl = ClosedLoopRealization(A_F=A, B1=plant.B1, C_F=C_F, D11=plant.D11)
-                objective = hinf_norm(cl, rel_tol=cfg.norm_rel_tol, poles=poles).value
+                stop = None
+                if floor >= -cfg.infeasible_penalty:
+                    # the fitness expression itself, so rounding cannot flip a decision
+                    stop = lambda lo: -(lo + cfg.beta * norm_a) <= floor  # noqa: E731
+                objective = hinf_norm(cl, rel_tol=cfg.norm_rel_tol, poles=poles, stop=stop).value
             except SofsynError:
                 pass  # norm computation failed despite a stable loop: score as infeasible
         if objective is not None:

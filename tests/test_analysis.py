@@ -4,6 +4,7 @@ import pytest
 from sofsyn import analysis
 from sofsyn.analysis import (
     FrequencyGrid,
+    HinfResult,
     freq_response,
     hinf_norm,
     hinf_norm_grid,
@@ -348,6 +349,53 @@ def test_hinf_given_poles_change_no_bit():
     for k in range(20):
         cl = stable_random_loop(rng, 2 + k % 7, feedthrough=(0.0, 0.3)[k % 2])
         assert hinf_norm(cl, 1e-6, poles=analysis._real_eig(cl.A_F)) == hinf_norm(cl, 1e-6)
+
+
+def test_hinf_stop_returns_an_attained_lower_bound():
+    """A stop test ends the call at the first bound it accepts: a gain
+    attained at ``peak_frequency`` and at most the full value. The test is
+    applied after the pole probes and after every raise of the bound, and a
+    test that never holds changes no bit."""
+    rng = np.random.default_rng(24)
+    for k in range(15):
+        cl = stable_random_loop(rng, 2 + k % 5, feedthrough=(0.0, 0.3, 3.0)[k % 3])
+        full = hinf_norm(cl)
+        assert hinf_norm(cl, stop=lambda lo: False) == full
+        assert hinf_norm(cl, stop=lambda lo: True).iterations == 0
+        d_norm = np.linalg.svd(cl.D11, compute_uv=False)[0]
+        for fraction in (0.0, 0.5, 0.9, 0.999, 1.0):
+            seen = []
+            res = hinf_norm(cl, stop=lambda lo: seen.append(lo) or lo >= fraction * full.value)
+            assert seen == sorted(seen) and seen[-1] == res.value
+            assert fraction * full.value <= res.value <= full.value
+            gain = np.linalg.svd(freq_response(cl, res.peak_frequency), compute_uv=False)[0]
+            assert res.value == pytest.approx(max(d_norm, gain), rel=1e-12, abs=0)
+        # stopping at the full value skips only the round that certifies it
+        assert res.iterations == full.iterations - 1
+
+
+def test_hinf_zero_feedthrough_skips_its_svd(monkeypatch):
+    """sigma_max(D11) is taken only when D11 has a nonzero entry; a zero D11
+    bounds the norm by exactly 0.0 either way, so no bit changes."""
+    svd = np.linalg.svd
+    matrix_svds = []
+
+    def counting(a, *args, **kwargs):
+        matrix_svds.append(np.ndim(a) == 2)
+        return svd(a, *args, **kwargs)
+
+    rng = np.random.default_rng(25)
+    for k in range(10):
+        cl = stable_random_loop(rng, 2 + k % 5, feedthrough=(0.0, 0.3)[k % 2])
+        poles = analysis._real_eig(cl.A_F)
+        matrix_svds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", counting)
+            res = hinf_norm(cl, 1e-6)
+        assert sum(matrix_svds) == (1 if k % 2 else 0)
+        assert res == hinf_norm(cl, 1e-6, poles=poles)
+    zero_gain = ClosedLoopRealization(A_F=[[-1.0]], B1=[[1.0]], C_F=[[0.0]], D11=[[0.0]])
+    assert hinf_norm(zero_gain) == HinfResult(value=0.0, peak_frequency=0.0, iterations=0)
 
 
 def test_hinf_real_poles_with_dc_zero():

@@ -284,11 +284,13 @@ def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch):
         return out
 
     batches = []
+    batch_floors = []
     evaluate_batch = driver.evaluate_batch
 
-    def recording_batches(plant, X, kind, cfg):
-        evals = evaluate_batch(plant, X, kind, cfg)
+    def recording_batches(plant, X, kind, cfg, floors=None):
+        evals = evaluate_batch(plant, X, kind, cfg, floors)
         batches.append(list(evals))
+        batch_floors.append(floors)
         return evals
 
     monkeypatch.setattr(driver, "run_local_batch", recording)
@@ -299,6 +301,12 @@ def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch):
     solve(plant, config)
     assert len(calls) == 3
     populations = batches[:: 1 + config.t_s]
+    # populations are scored exactly; a local step's floors are its parents' fitness
+    assert batch_floors[:: 1 + config.t_s] == [None] * 3
+    assert all(floors is not None for i, floors in enumerate(batch_floors) if i % (1 + config.t_s))
+    assert [batch_floors[1 + g * (1 + config.t_s)] for g in range(3)] == [
+        [ev.fitness for ev in population] for population in populations
+    ]
     for generation, (alphas, scores, sigma, budget, score, states, params, out) in enumerate(
         calls
     ):
@@ -315,3 +323,65 @@ def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch):
             assert used == budget == 6
             assert best.tobytes() == alpha_opt.tobytes()
             assert fit.hex() == ev_opt.fitness.hex()
+
+
+def _planted_d11_plant(seed, n_x=8, n_u=2, n_y=2):
+    """An open-loop unstable plant with feedthrough D11 != 0 that a planted
+    gain stabilizes: A = A_s - B F0 C with A_s Hurwitz."""
+    from sofsyn.analysis import spectral_abscissa
+    from sofsyn.model import PlantRealization
+
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(n_x)
+    M = scale * rng.standard_normal((n_x, n_x))
+    A_s = M - (spectral_abscissa(M) + 1.0) * np.eye(n_x)
+    B = scale * rng.standard_normal((n_x, n_u))
+    C = scale * rng.standard_normal((n_y, n_x))
+    A = A_s - 3.0 * B @ rng.standard_normal((n_u, n_y)) @ C
+    assert spectral_abscissa(A) > 0
+    return PlantRealization(
+        A=A, B1=scale * rng.standard_normal((n_x, 2)), B=B,
+        C1=scale * rng.standard_normal((2, n_x)), D11=0.2 * rng.standard_normal((2, 2)),
+        D12=rng.standard_normal((2, n_u)), C=C, name="planted_d11",
+    )
+
+
+def _result_bits(res: RunResult):
+    return (
+        res.best_alpha.tobytes(), res.best_fitness.hex(), res.best_objective.hex(),
+        res.feasible, res.global_evals, res.local_evals, repr(res.history),
+    )
+
+
+@pytest.mark.parametrize("plant_name", ["rand4", "planted_d11"])
+def test_local_floors_change_no_bit_of_a_solve(plant_name, monkeypatch):
+    """Stopping the norm of offspring that cannot beat their parent leaves
+    every bit of the run as a scorer that ignores the floors leaves it,
+    while the floors do stop norms early."""
+    from sofsyn import driver, objectives
+
+    if plant_name == "rand4":
+        plant = load_problem(builtin_plant_path("rand4"))
+    else:
+        plant = _planted_d11_plant(seed=3)
+    config = SolverConfig(t_max=300, seed=5)
+    hinf_norm = objectives.hinf_norm
+    stops = []
+
+    def counting(cl, rel_tol, poles=None, stop=None):
+        res = hinf_norm(cl, rel_tol=rel_tol, poles=poles, stop=stop)
+        stops.append(stop is not None and stop(res.value))
+        return res
+
+    monkeypatch.setattr(objectives, "hinf_norm", counting)
+    floored = solve(plant, config)
+    assert sum(stops) > len(stops) // 4
+    stops.clear()
+    evaluate_batch = driver.evaluate_batch
+    monkeypatch.setattr(
+        driver, "evaluate_batch",
+        lambda plant, X, kind, cfg, floors=None: evaluate_batch(plant, X, kind, cfg),
+    )
+    exact = solve(plant, config)
+    assert not any(stops)
+    assert _result_bits(floored) == _result_bits(exact)

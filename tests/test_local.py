@@ -310,10 +310,15 @@ def test_lockstep_matches_run_local_per_candidate(monkeypatch, spd_repair):
     starts = rng.standard_normal((k, n))
     fits = [_rugged(x) for x in starts]
     batch_sizes = []
+    best_so_far = list(fits)
 
-    def score_batch(X):
+    def score_batch(X, floors):
+        # each row's floor is the best fitness its candidate has seen
+        assert floors == best_so_far
         batch_sizes.append(len(X))
-        return [_rugged(x) for x in X]
+        values = [_rugged(x) for x in X]
+        best_so_far[:] = [max(b, v) for b, v in zip(best_so_far, values)]
+        return values
 
     together = local.run_local_batch(
         starts, fits, 0.8, budget, score_batch,
@@ -334,7 +339,7 @@ def test_lockstep_matches_run_local_per_candidate(monkeypatch, spd_repair):
 def test_lockstep_returns_the_best_score_object():
     starts = np.array([[0.0, 0.0], [2.0, 2.0]])
 
-    def score_batch(X):
+    def score_batch(X, floors=None):
         return [{"fitness": _rugged(x), "point": x.copy()} for x in X]
 
     initial = score_batch(starts)
@@ -349,7 +354,37 @@ def test_lockstep_returns_the_best_score_object():
 
 
 def test_lockstep_with_no_candidates_scores_nothing():
-    def score_batch(X):
+    def score_batch(X, floors):
         raise AssertionError("no candidate to score")
 
     assert run_local_batch(np.zeros((0, 3)), [], 1.0, 10, score_batch, []) == []
+
+
+def test_lockstep_outcome_unchanged_by_scores_bounded_at_the_floor():
+    """A scorer may answer a row that cannot beat its floor with any score
+    between the exact one and the floor; here it answers with the floor
+    itself, the loosest such bound, and every candidate ends bit for bit
+    where exact scores take it."""
+    rng = np.random.default_rng(32)
+    k, n, budget = 6, 3, 40
+    starts = rng.standard_normal((k, n))
+    fits = [_rugged(x) for x in starts]
+    bounded = []
+
+    def exact(X, floors):
+        return [_rugged(x) for x in X]
+
+    def loosest(X, floors):
+        values = exact(X, floors)
+        bounded.extend(v < f for v, f in zip(values, floors))
+        return [f if v <= f else v for v, f in zip(values, floors)]
+
+    outs = [
+        run_local_batch(
+            starts, fits, 0.8, budget, score,
+            [np.random.default_rng([33, i]) for i in range(k)],
+        )
+        for score in (exact, loosest)
+    ]
+    assert sum(bounded) > k * budget // 2
+    assert [_bits(*t) for t in outs[0]] == [_bits(*t) for t in outs[1]]

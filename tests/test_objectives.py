@@ -208,11 +208,11 @@ def test_evaluate_batch_rows_match_single_evaluations(kind, monkeypatch):
 
     original = objectives.hinf_norm
 
-    def failing_below(cl, rel_tol, poles=None):
+    def failing_below(cl, rel_tol, poles=None, stop=None):
         # stands in for a norm failure on the f = -2 row (A_F[0, 0] = -3)
         if cl.A_F[0, 0] < -2.5:
             raise BracketError("no certifiable upper bound")
-        return original(cl, rel_tol=rel_tol, poles=poles)
+        return original(cl, rel_tol=rel_tol, poles=poles, stop=stop)
 
     monkeypatch.setattr(objectives, "hinf_norm", failing_below)
     cfg = FitnessConfig(beta=1e-3)
@@ -273,3 +273,80 @@ def test_feasible_hinf_row_reuses_the_stability_eigensolve(double_integrator, mo
     ev = evaluate(double_integrator, [-1.0, -2.0], ObjectiveKind.HINF_NORM)
     assert ev.feasible and len(results) == 1
     assert len(solves) == 1 + results[0].iterations
+
+
+def test_floored_rows_stop_only_when_they_cannot_beat_their_floor(monkeypatch):
+    """A row whose exact fitness exceeds its floor scores bit for bit as
+    without a floor; any other row may stop early, and then scores an upper
+    bound on its exact fitness that is at most the floor."""
+    import dataclasses
+
+    import sofsyn.objectives as objectives
+    from test_model import random_plant
+
+    rng = np.random.default_rng(26)
+    plant = random_plant(rng, n_x=5, n_u=2, n_y=3)
+    plant = dataclasses.replace(plant, A=plant.A - (spectral_abscissa(plant.A) + 0.5) * np.eye(5))
+    X = rng.standard_normal((60, plant.dims.n)) * 10.0 ** rng.uniform(-2, 0.5, (60, 1))
+    cfg = FitnessConfig(beta=1e-3)
+    iterations = []
+    hinf_norm = objectives.hinf_norm
+
+    def counting(*args, **kwargs):
+        res = hinf_norm(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(objectives, "hinf_norm", counting)
+    exact = evaluate_batch(plant, X, ObjectiveKind.HINF_NORM, cfg)
+    exact_iterations = list(iterations)
+    feasible = [ev.feasible for ev in exact]
+    assert 10 <= sum(feasible) < len(X)
+    stopped = 0
+    for shift in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3, 10.0):
+        floors = [ev.fitness + shift * abs(ev.fitness) for ev in exact]
+        iterations.clear()
+        for ev, floor, row in zip(exact, floors, evaluate_batch(
+            plant, X, ObjectiveKind.HINF_NORM, cfg, floors
+        )):
+            if ev.fitness > floor:
+                assert _same_bits(row, ev)
+            else:
+                assert ev.fitness <= row.fitness <= floor
+                assert row.feasible == ev.feasible
+                assert _same_bits(row.gain_norm, ev.gain_norm)
+                stopped += not _same_bits(row, ev)
+        if shift == 0.0:
+            # a floor equal to the exact fitness saves at least the certifying round
+            assert len(iterations) == len(exact_iterations)
+            assert all(a < b for a, b in zip(iterations, exact_iterations))
+    assert stopped > 0
+
+
+def test_floor_below_the_penalty_is_ignored(monkeypatch):
+    """A stable row whose norm computation would fail scores exactly
+    -infeasible_penalty, so a floor below that must not stop the norm: the
+    full run fails and the row beats its floor, as it does without one."""
+    import sofsyn.objectives as objectives
+    from sofsyn.errors import BracketError
+
+    original = objectives.hinf_norm
+
+    def failing_unless_stopped(cl, rel_tol, poles=None, stop=None):
+        # stands in for a norm that fails in a round after the one that stops
+        res = original(cl, rel_tol=rel_tol, poles=poles, stop=stop)
+        if stop is None or not stop(res.value):
+            raise BracketError("no certifiable upper bound")
+        return res
+
+    monkeypatch.setattr(objectives, "hinf_norm", failing_unless_stopped)
+    cfg = FitnessConfig(beta=1e-3, infeasible_penalty=1e-2)
+    row = np.array([[-1.0]])  # stable, norm above 0.2 = sigma_max(D11)
+    kind = ObjectiveKind.HINF_NORM
+    [exact] = evaluate_batch(BATCH_PLANT, row, kind, cfg)
+    assert exact.fitness == -cfg.infeasible_penalty and not exact.feasible
+    [below] = evaluate_batch(BATCH_PLANT, row, kind, cfg, [-2 * cfg.infeasible_penalty])
+    assert _same_bits(below, exact)
+    # a floor at the penalty is kept: the row stops and loses, as the exact row does
+    [at] = evaluate_batch(BATCH_PLANT, row, kind, cfg, [-cfg.infeasible_penalty])
+    assert at.feasible and at.fitness <= -cfg.infeasible_penalty
