@@ -26,6 +26,7 @@ from .errors import (
     InstabilityError,
     NonFiniteEntryError,
     SingularResolventError,
+    SofsynError,
 )
 from .model import ClosedLoopRealization
 
@@ -39,6 +40,7 @@ __all__ = [
     "freq_response",
     "hinf_norm_grid",
     "hinf_norm",
+    "hinf_norms",
 ]
 
 #: Default margin below zero required of the abscissa for "Hurwitz".
@@ -126,14 +128,14 @@ def freq_response(cl: ClosedLoopRealization, omega: float) -> np.ndarray:
     return cl.C_F @ X + cl.D11
 
 
-def _max_gains(cl: ClosedLoopRealization, omegas: np.ndarray) -> np.ndarray:
-    """Largest singular value of G(jw) for a batch of frequencies."""
+def _max_gains(A_F, C_F, B1, D11, omegas) -> np.ndarray:
+    """Largest singular value of G(jw) = C_F (jw I - A_F)^-1 B1 + D11 at each
+    frequency; ``A_F`` and ``C_F`` are one realization for all frequencies or
+    stacked with one realization per frequency."""
     omegas = np.asarray(omegas, dtype=float)
-    n_x = cl.A_F.shape[0]
-    M = 1j * omegas[:, None, None] * np.eye(n_x) - cl.A_F
-    rhs = np.broadcast_to(cl.B1.astype(complex), (omegas.size, *cl.B1.shape))
-    X = np.linalg.solve(M, rhs)
-    G = cl.C_F @ X + cl.D11
+    M = 1j * omegas[:, None, None] * np.eye(A_F.shape[-1]) - A_F
+    # B1 as a stack of one matrix: numpy < 2 reads a 2-d b as stacked vectors
+    G = C_F @ np.linalg.solve(M, B1.astype(complex)[None]) + D11
     return np.linalg.svd(G, compute_uv=False)[..., 0]
 
 
@@ -194,135 +196,226 @@ def hinf_norm_grid(cl: ClosedLoopRealization, grid: FrequencyGrid = DEFAULT_GRID
     if abscissa >= 0:
         raise InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
     omegas = grid.frequencies()
-    gains = _max_gains(cl, omegas)
+    gains = _max_gains(cl.A_F, cl.C_F, cl.B1, cl.D11, omegas)
     k = int(np.argmax(gains))
     best = float(gains[k])
     a = omegas[k - 1] if k > 0 else omegas[k]
     b = omegas[k + 1] if k + 1 < omegas.size else omegas[k]
     if b > a:
-        _, refined = _golden_max(lambda w: float(_max_gains(cl, np.array([w]))[0]), a, b)
+        _, refined = _golden_max(
+            lambda w: float(_max_gains(cl.A_F, cl.C_F, cl.B1, cl.D11, np.array([w]))[0]), a, b
+        )
         best = max(best, refined)
     return best
 
 
-def _hamiltonian_builder(cl: ClosedLoopRealization):
-    """Factory for gamma -> Hamiltonian matrix of the bounded-real test.
-
-    The returned callable reuses one output buffer and the gamma-independent
-    blocks; it requires gamma > sigma_max(D11) so that
-    R = gamma^2 I - D11' D11 > 0.
-    """
-    A, B, C, D = cl.A_F, cl.B1, cl.C_F, cl.D11
-    n = A.shape[0]
-    H = np.empty((2 * n, 2 * n))
-
-    if not D.any():
+def _hamiltonians(A, C, B1, D11):
+    """``build(rows, g2)``: the stacked bounded-real Hamiltonians of the
+    loops (A[r], B1, C[r], D11) for the given rows, each at its own squared
+    gamma g2[j] > sigma_max(D11)^2 (so R = gamma^2 I - D11' D11 > 0). The
+    gamma-independent blocks are computed once."""
+    n = A.shape[1]
+    if not D11.any():
         # no feedthrough: H = [[A, B B'/g^2], [-C'C, -A']]
-        BBt = B @ B.T
-        H[:n, :n] = A
-        H[n:, :n] = -(C.T @ C)
-        H[n:, n:] = -A.T
+        H = np.empty((len(A), 2 * n, 2 * n))
+        H[:, :n, :n] = A
+        H[:, n:, :n] = -(C.transpose(0, 2, 1) @ C)
+        H[:, n:, n:] = -A.transpose(0, 2, 1)
+        BBt = B1 @ B1.T
 
-        def build(gamma: float) -> np.ndarray:
-            H[:n, n:] = BBt / (gamma * gamma)
-            return H
+        def build(rows, g2):
+            Hr = H[rows]
+            Hr[:, :n, n:] = BBt / g2
+            return Hr
 
         return build
 
-    DT = D.T.copy()
-    BT = B.T.copy()
-    DtD = DT @ D
-    I_w = np.eye(B.shape[1])
-    I_z = np.eye(C.shape[0])
+    DT = D11.T.copy()
+    BT = B1.T.copy()[None]
+    DtD = DT @ D11
+    I_w = np.eye(B1.shape[1])
+    I_z = np.eye(C.shape[1])
 
-    def build(gamma: float) -> np.ndarray:
-        R = gamma * gamma * I_w - DtD
-        Rinv_DT = np.linalg.solve(R, DT)
-        Rinv_BT = np.linalg.solve(R, BT)
-        Acl = A + B @ (Rinv_DT @ C)
-        H[:n, :n] = Acl
-        H[:n, n:] = B @ Rinv_BT
-        H[n:, :n] = -C.T @ ((I_z + D @ Rinv_DT) @ C)
-        H[n:, n:] = -Acl.T
-        return H
+    def build(rows, g2):
+        Ar, Cr = A[rows], C[rows]
+        R = g2 * I_w - DtD
+        Rinv_DT = np.linalg.solve(R, DT[None])
+        Acl = Ar + B1 @ (Rinv_DT @ Cr)
+        Hr = np.empty((len(Ar), 2 * n, 2 * n))
+        Hr[:, :n, :n] = Acl
+        Hr[:, :n, n:] = B1 @ np.linalg.solve(R, BT)
+        Hr[:, n:, :n] = -Cr.transpose(0, 2, 1) @ ((I_z + D11 @ Rinv_DT) @ Cr)
+        Hr[:, n:, n:] = -Acl.transpose(0, 2, 1)
+        return Hr
 
     return build
 
 
-def _imaginary_axis_freqs(H: np.ndarray) -> np.ndarray:
-    """Nonnegative frequencies of eigenvalues of H lying on the imaginary axis."""
-    wr, wi = _real_eig(H)
-    on_axis = np.abs(wr) <= IMAG_AXIS_RTOL * (1.0 + np.hypot(wr, wi))
-    return np.abs(wi[on_axis])
+def _peaks(A_F, C_F, B1, D11, rows, W: np.ndarray) -> list:
+    """Per row j of W, the largest gain of loop rows[j] over the finite
+    entries of W[j] (ascending, inf-padded) and the frequency np.argmax
+    picks for it; (-inf, inf) if there is none. A repeated frequency has
+    the same gain, so the result is that of the row's np.unique."""
+    j, col = (W < np.inf).nonzero()
+    peaks = [(-np.inf, np.inf)] * len(W)
+    if not j.size:
+        return peaks
+    loops = rows[j]
+    w = W[j, col]
+    gains = _max_gains(A_F[loops], C_F[loops], B1, D11, w)
+    for i, g, f in zip(j.tolist(), gains.tolist(), w.tolist()):
+        best = peaks[i][0]
+        # np.argmax order: the first NaN, else the first maximum
+        if g > best or g != g and best == best:
+            peaks[i] = (g, f)
+    return peaks
+
+
+def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) -> list:
+    """H-infinity norms of the loops (A_F[r], B1, C_F[r], D11), which share
+    B1 and D11, by the level-set iteration on the Hamiltonian test.
+
+    A row's lower bound starts at the largest of sigma_max(D11), the gain
+    at w = 0 and the gain at w = |lam| for each pole lam of A_F[r]. Each
+    round takes the imaginary-axis eigenvalues of the row's Hamiltonian at
+    gamma = (1 + rel_tol) * bound (Boyd-Balakrishnan / Bruinsma-Steinbuch)
+    and raises the bound to the largest gain at those crossing frequencies
+    and at their midpoints. A row stops when no crossing remains, which
+    certifies its norm within [value, (1 + rel_tol) * value], or when the
+    crossings raise no gain above the bound, which makes them rounding
+    error rather than gain. The rows run in lockstep: each stage is one
+    stacked call over the rows still iterating (but one eigensolve per
+    Hamiltonian), and every row gets the bits it would get alone.
+
+    ``poles`` holds each row's ``_real_eig(A_F[r])`` pair (real parts,
+    imaginary parts) for callers that already hold them; the results do
+    not depend on it. ``stop`` is an optional predicate on the array of all
+    rows' lower bounds that returns a mask of rows to stop; it is heeded
+    for the rows just probed or raised, after the pole probes and after
+    each round. A stopped row returns its bound as ``value``: a gain
+    attained at ``peak_frequency``, but possibly below the norm by more
+    than ``rel_tol``, with ``iterations`` 0 if it stops at the probe bound.
+
+    Returns, per row, its :class:`HinfResult` or the error it would raise
+    alone: :class:`NonFiniteEntryError` if A_F[r] or C_F[r] has a
+    non-finite entry, :class:`InstabilityError` if A_F[r] is not Hurwitz,
+    :class:`EigenSolveError` from one of its eigensolves, or
+    :class:`BracketError` if it has not stopped after 64 rounds.
+    """
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
+    results = [None] * len(A_F)
+    lo = [0.0] * len(A_F)
+    peak = [0.0] * len(A_F)
+    act, spectra = [], []
+    finite = np.isfinite(A_F).all(axis=(1, 2)) & np.isfinite(C_F).all(axis=(1, 2))
+    for r, A in enumerate(A_F):
+        if not finite[r]:
+            results[r] = NonFiniteEntryError("A_F or C_F contains non-finite entries")
+            continue
+        try:
+            wr, wi = _real_eig(A) if poles is None else poles[r]
+        except EigenSolveError as exc:
+            results[r] = exc
+            continue
+        abscissa = wr.max()
+        if abscissa >= 0:
+            results[r] = InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
+        else:
+            act.append(r)
+            spectra.append((wr, wi))
+    if not act:
+        return results
+
+    def hold(iterations):
+        # finish the rows still iterating that the caller's predicate stops now
+        nonlocal act
+        if stop is None or not act:
+            return
+        held = stop(np.array(lo))
+        for r in act:
+            if held[r]:
+                results[r] = HinfResult(lo[r], peak[r], iterations)
+        act = [r for r in act if not held[r]]
+
+    # one probe per conjugate pair of poles: its partner has the same |lam|
+    S = np.array(spectra)
+    probes = np.sort(np.where(S[:, 1] >= 0, np.hypot(S[:, 0], S[:, 1]), np.inf), axis=1)
+    probes = np.concatenate((np.zeros((len(act), 1)), probes), axis=1)
+    d_norm = float(np.linalg.svd(D11, compute_uv=False)[0]) if D11.any() else 0.0
+    for r, (gain, freq) in zip(act, _peaks(A_F, C_F, B1, D11, np.array(act), probes)):
+        lo[r], peak[r] = (gain, freq) if gain > d_norm else (d_norm, 0.0)
+        if lo[r] == 0.0:
+            # zero gain wherever sampled and no feedthrough: nothing to raise
+            results[r] = HinfResult(0.0, 0.0, 0)
+    act = [r for r in act if results[r] is None]
+    hold(0)
+
+    build = _hamiltonians(A_F, C_F, B1, D11) if act else None
+    for iterations in range(1, 65):
+        if not act:
+            break
+        rows = np.array(act)
+        gammas = [(1.0 + rel_tol) * lo[r] for r in act]
+        H = build(rows, np.array([g * g for g in gammas])[:, None, None])
+        spectra, act = [], []
+        for r, Hr in zip(rows.tolist(), H):
+            try:
+                spectra.append(_real_eig(Hr))
+                act.append(r)
+            except EigenSolveError as exc:
+                results[r] = exc
+        if not act:
+            break
+        rows = np.array(act)
+        S = np.array(spectra)
+        wr, wi = S[:, 0], S[:, 1]
+        # one crossing per conjugate pair: its partner has the same |Im lam|
+        on_axis = (np.abs(wr) <= IMAG_AXIS_RTOL * (1.0 + np.hypot(wr, wi))) & (wi >= 0)
+        freqs = np.sort(np.where(on_axis, np.abs(wi), np.inf), axis=1)
+        candidates = np.concatenate((freqs, 0.5 * (freqs[:, :-1] + freqs[:, 1:])), axis=1)
+        raised = []
+        # a row without crossings gets gain -inf, so it finishes here too
+        for r, (gain, freq) in zip(act, _peaks(A_F, C_F, B1, D11, rows, candidates)):
+            if gain <= lo[r]:
+                results[r] = HinfResult(lo[r], peak[r], iterations)
+            else:
+                lo[r], peak[r] = gain, freq
+                raised.append(r)
+        act = raised
+        hold(iterations)
+
+    for r in act:
+        results[r] = BracketError(
+            f"level-set iteration did not stop in 64 rounds (bound {lo[r]:.6g})"
+        )
+    return results
 
 
 def hinf_norm(
     cl: ClosedLoopRealization, rel_tol: float = 1e-6, poles=None, stop=None
 ) -> HinfResult:
-    """H-infinity norm by the level-set iteration on the Hamiltonian test.
+    """H-infinity norm of one closed loop: the one-row case of
+    :func:`hinf_norms`, which describes the iteration and the result.
 
-    The lower bound starts at the largest of sigma_max(D11), the gain at
-    w = 0 and the gain at w = |lam| for each pole lam of A_F. Each round
-    takes the imaginary-axis eigenvalues of the Hamiltonian at
-    gamma = (1 + rel_tol) * bound (Boyd-Balakrishnan / Bruinsma-Steinbuch)
-    and raises the bound to the largest gain at those crossing frequencies
-    and at their midpoints. It stops when no crossing remains, which
-    certifies the norm within [value, (1 + rel_tol) * value], or when the
-    crossings raise no gain above the bound, which makes them rounding
-    error rather than gain.
-
-    ``poles`` is the ``_real_eig(A_F)`` pair (real parts, imaginary parts)
-    for callers that already hold it; the result does not depend on it.
-
-    ``stop`` is an optional predicate on the lower bound, checked after the
-    pole probes and after each raise of the bound. Once it holds, the call
-    returns that bound as ``value``: still a gain attained at
-    ``peak_frequency``, but possibly below the norm by more than
-    ``rel_tol``. ``iterations`` is 0 when it stops at the probe bound. A
-    predicate that never holds leaves the result unchanged.
+    ``poles`` is the ``_real_eig(A_F)`` pair for callers that already hold
+    it. ``stop`` is an optional predicate on the lower bound (a float),
+    checked after the pole probes and after each raise of the bound; once
+    it holds, the call returns that bound.
 
     Raises
     ------
     InstabilityError
         If A_F is not Hurwitz.
+    EigenSolveError
+        If an eigensolve fails to converge.
     BracketError
         If the iteration has not stopped after 64 rounds (pathological
         conditioning).
     """
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    wr, wi = _real_eig(cl.A_F) if poles is None else poles
-    abscissa = float(wr.max())
-    if abscissa >= 0:
-        raise InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
-
-    d_norm = float(np.linalg.svd(cl.D11, compute_uv=False)[0]) if cl.D11.any() else 0.0
-
-    probes = np.unique(np.concatenate(([0.0], np.hypot(wr, wi))))
-    probe_gains = _max_gains(cl, probes)
-    probe_peak = int(np.argmax(probe_gains))
-    probe_max = float(probe_gains[probe_peak])
-
-    lo = max(d_norm, probe_max)
-    peak_frequency = float(probes[probe_peak]) if probe_max > d_norm else 0.0
-    if lo == 0.0 or (stop is not None and stop(lo)):
-        # zero gain wherever sampled and no feedthrough, or bound enough for the caller
-        return HinfResult(value=lo, peak_frequency=peak_frequency, iterations=0)
-
-    build = _hamiltonian_builder(cl)
-    for iterations in range(1, 65):
-        freqs = np.unique(_imaginary_axis_freqs(build((1.0 + rel_tol) * lo)))
-        if freqs.size == 0:
-            break
-        candidates = np.concatenate((freqs, 0.5 * (freqs[:-1] + freqs[1:])))
-        gains = _max_gains(cl, candidates)
-        best = int(np.argmax(gains))
-        if gains[best] <= lo:
-            break
-        lo, peak_frequency = float(gains[best]), float(candidates[best])
-        if stop is not None and stop(lo):
-            break
-    else:
-        raise BracketError(f"level-set iteration did not stop in 64 rounds (bound {lo:.6g})")
-
-    return HinfResult(value=lo, peak_frequency=peak_frequency, iterations=iterations)
+    one_stop = None if stop is None else lambda lo: np.array([bool(stop(float(lo[0])))])
+    poles = None if poles is None else [poles]
+    [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, rel_tol, poles, one_stop)
+    if isinstance(res, SofsynError):
+        raise res
+    return res

@@ -153,7 +153,10 @@ def _cmd_oracle(args) -> int:
     if args.gain is not None:
         F = _parse_gain(args.gain)
     elif args.gain_file is not None:
-        F = np.loadtxt(args.gain_file, dtype=float, ndmin=2)
+        try:
+            F = np.loadtxt(args.gain_file, dtype=float, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read gain file {args.gain_file}: {exc}") from exc
     else:
         F = np.zeros((dims.n_u, dims.n_y))
     if F.shape != (dims.n_u, dims.n_y):

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import STABILITY_TOL, _real_eig, hinf_norm, is_hurwitz
-from .errors import DimensionMismatchError, SofsynError
-from .model import ClosedLoopRealization, PlantRealization, close_loop, unflatten_gain
+from .analysis import STABILITY_TOL, HinfResult, _real_eig, hinf_norms, is_hurwitz
+from .analysis import hinf_norm  # noqa: F401  (a binding perfbench/tracing.py patches)
+from .errors import DimensionMismatchError
+from .model import PlantRealization, close_loop, unflatten_gain
 
 __all__ = [
     "ObjectiveKind",
@@ -126,7 +127,8 @@ def evaluate_batch(
     """Score every row of ``X`` (one decision vector per row) exactly as
     that row would score alone. Deterministic; never raises on an unstable
     or numerically failing candidate (those become penalized evaluations so
-    the optimizer can keep running).
+    the optimizer can keep running). The H-infinity norms of the stable
+    rows run in lockstep, as one :func:`~sofsyn.analysis.hinf_norms` call.
 
     ``floors``, one fitness per row, lets the H-infinity norm of a row stop
     as soon as the row provably scores at most its floor (an elitist step
@@ -148,37 +150,49 @@ def evaluate_batch(
         FC = F @ plant.C
         A_F = plant.A + plant.B @ FC
     finite = np.isfinite(X).all(axis=1) & np.isfinite(A_F).all(axis=(1, 2))
-    if floors is None:
-        floors = [-math.inf] * len(X)
-    evals = []
-    for A, fc, norm_a, ok, floor in zip(A_F, FC, norms, finite, floors):
-        if not ok:
-            # overflowed candidate: rank below everything, never selected
-            evals.append(Evaluation(-math.inf, math.inf, norm_a, False))
-            continue
-        poles = _real_eig(A)
-        abscissa = float(poles[0].max())
-        feasible = bool(abscissa < -cfg.stability_tol)
-        if kind is ObjectiveKind.SPECTRAL_ABSCISSA:
-            evals.append(Evaluation(-(abscissa + cfg.beta * norm_a), abscissa, norm_a, feasible))
-            continue
-        objective = None
-        if feasible:
-            try:
-                C_F = plant.C1 + plant.D12 @ fc
-                cl = ClosedLoopRealization(A_F=A, B1=plant.B1, C_F=C_F, D11=plant.D11)
-                stop = None
-                if floor >= -cfg.infeasible_penalty:
-                    # the fitness expression itself, so rounding cannot flip a decision
-                    stop = lambda lo: -(lo + cfg.beta * norm_a) <= floor  # noqa: E731
-                objective = hinf_norm(cl, rel_tol=cfg.norm_rel_tol, poles=poles, stop=stop).value
-            except SofsynError:
-                pass  # norm computation failed despite a stable loop: score as infeasible
-        if objective is not None:
-            evals.append(Evaluation(-(objective + cfg.beta * norm_a), objective, norm_a, True))
-            continue
+
+    def penalized(abscissa, norm_a):
         fitness = -cfg.infeasible_penalty
         if cfg.penalty_mode is PenaltyMode.GUIDED:
             fitness -= max(0.0, abscissa)
-        evals.append(Evaluation(fitness, math.inf, norm_a, False))
+        return Evaluation(fitness, math.inf, norm_a, False)
+
+    evals = [None] * len(X)
+    stable, poles = [], []
+    for i, (A, norm_a, ok) in enumerate(zip(A_F, norms, finite)):
+        if not ok:
+            # overflowed candidate: rank below everything, never selected
+            evals[i] = Evaluation(-math.inf, math.inf, norm_a, False)
+            continue
+        spectrum = _real_eig(A)
+        abscissa = float(spectrum[0].max())
+        feasible = bool(abscissa < -cfg.stability_tol)
+        if kind is ObjectiveKind.SPECTRAL_ABSCISSA:
+            evals[i] = Evaluation(-(abscissa + cfg.beta * norm_a), abscissa, norm_a, feasible)
+        elif feasible:
+            stable.append(i)
+            poles.append(spectrum)
+        else:
+            evals[i] = penalized(abscissa, norm_a)
+    if not stable:
+        return evals
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        C_F = plant.C1 + plant.D12 @ FC[stable]
+    stop = None
+    if floors is not None:
+        floor = np.asarray(floors, dtype=float)[stable]
+        usable = floor >= -cfg.infeasible_penalty
+        if usable.any():
+            norm = np.array([norms[i] for i in stable])
+            # the fitness expression itself, so rounding cannot flip a decision
+            stop = lambda lo: usable & (-(lo + cfg.beta * norm) <= floor)  # noqa: E731
+    results = hinf_norms(A_F[stable], C_F, plant.B1, plant.D11, cfg.norm_rel_tol, poles, stop)
+    for i, res in zip(stable, results):
+        if isinstance(res, HinfResult):
+            evals[i] = Evaluation(-(res.value + cfg.beta * norms[i]), res.value, norms[i], True)
+        else:
+            # C_F overflowed or the norm failed despite a stable loop: score
+            # as infeasible (the abscissa is negative, so no guided term)
+            evals[i] = penalized(0.0, norms[i])
     return evals

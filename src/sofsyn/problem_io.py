@@ -146,7 +146,7 @@ def load_problem(path) -> PlantRealization:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read problem file {path}: {exc}") from exc
     return parse_problem(text, source=str(path))
 

@@ -8,12 +8,14 @@ from sofsyn.analysis import (
     freq_response,
     hinf_norm,
     hinf_norm_grid,
+    hinf_norms,
     is_hurwitz,
     spectral_abscissa,
 )
 from sofsyn.errors import (
     BracketError,
     DimensionMismatchError,
+    EigenSolveError,
     InstabilityError,
     NonFiniteEntryError,
     SingularResolventError,
@@ -330,10 +332,13 @@ def test_hinf_feedthrough_bound_has_zero_peak_frequency():
 def test_hinf_round_cap_raises_bracket_error(monkeypatch):
     # a crossing that never goes away and a gain that rises every round
     rises = iter(range(1, 1000))
-    monkeypatch.setattr(analysis, "_imaginary_axis_freqs", lambda H: np.array([1.0]))
-    monkeypatch.setattr(analysis, "_max_gains", lambda cl, w: np.full(w.size, next(rises), float))
+    poles = analysis._real_eig(FIRST_ORDER_LAG.A_F)
+    monkeypatch.setattr(analysis, "_real_eig", lambda H: (np.zeros(1), np.ones(1)))
+    monkeypatch.setattr(
+        analysis, "_max_gains", lambda A_F, C_F, B1, D11, w: np.full(w.size, next(rises), float)
+    )
     with pytest.raises(BracketError):
-        hinf_norm(FIRST_ORDER_LAG)
+        hinf_norm(FIRST_ORDER_LAG, poles=poles)
     assert next(rises) == 66  # the probe call plus 64 rounds
 
 
@@ -406,6 +411,165 @@ def test_hinf_real_poles_with_dc_zero():
     res = hinf_norm(cl)
     assert res.value == pytest.approx(0.5, rel=1e-6)
     assert res.peak_frequency == pytest.approx(1.0, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches: every row as if alone
+
+
+def stable_random_batch(rng, n_x, rows, feedthrough=0.0, n_w=2, n_z=2):
+    """(A_F, C_F, B1, D11) of `rows` stable loops that share B1 and D11."""
+    A_F = rng.standard_normal((rows, n_x, n_x))
+    for A in A_F:
+        A -= (spectral_abscissa(A) + 10.0 ** rng.uniform(-3, 0)) * np.eye(n_x)
+    C_F = rng.standard_normal((rows, n_z, n_x))
+    return A_F, C_F, rng.standard_normal((n_x, n_w)), feedthrough * rng.standard_normal((n_z, n_w))
+
+
+def _loops(A_F, C_F, B1, D11):
+    return [ClosedLoopRealization(A, B1, C, D11) for A, C in zip(A_F, C_F)]
+
+
+def _alone(A_F, C_F, B1, D11):
+    return [hinf_norm(cl) for cl in _loops(A_F, C_F, B1, D11)]
+
+
+def reference_hinf_norm(cl, rel_tol=1e-6, stop=None):
+    """The level-set iteration on one loop, written as a plain loop with
+    np.unique and one Hamiltonian at a time: the arithmetic the lockstep
+    rows must reproduce bit for bit."""
+    A, B, C, D = cl.A_F, cl.B1, cl.C_F, cl.D11
+
+    def gains(omegas):
+        M = 1j * omegas[:, None, None] * np.eye(len(A)) - A
+        X = np.linalg.solve(M, np.broadcast_to(B.astype(complex), (omegas.size, *B.shape)))
+        return np.linalg.svd(C @ X + D, compute_uv=False)[..., 0]
+
+    def hamiltonian(gamma):
+        if not D.any():
+            return np.block([[A, B @ B.T / (gamma * gamma)], [-(C.T @ C), -A.T]])
+        DT = D.T.copy()
+        R = gamma * gamma * np.eye(B.shape[1]) - DT @ D
+        Rinv_DT = np.linalg.solve(R, DT)
+        Acl = A + B @ (Rinv_DT @ C)
+        lower = -C.T @ ((np.eye(C.shape[0]) + D @ Rinv_DT) @ C)
+        return np.block([[Acl, B @ np.linalg.solve(R, B.T.copy())], [lower, -Acl.T]])
+
+    wr, wi = analysis._real_eig(A)
+    d_norm = float(np.linalg.svd(D, compute_uv=False)[0]) if D.any() else 0.0
+    probes = np.unique(np.concatenate(([0.0], np.hypot(wr, wi))))
+    g = gains(probes)
+    k = int(np.argmax(g))
+    lo = max(d_norm, float(g[k]))
+    peak = float(probes[k]) if g[k] > d_norm else 0.0
+    if lo == 0.0 or (stop is not None and stop(lo)):
+        return HinfResult(lo, peak, 0)
+    for iterations in range(1, 65):
+        wr, wi = analysis._real_eig(hamiltonian((1.0 + rel_tol) * lo))
+        on_axis = np.abs(wr) <= analysis.IMAG_AXIS_RTOL * (1.0 + np.hypot(wr, wi))
+        freqs = np.unique(np.abs(wi[on_axis]))
+        if freqs.size == 0:
+            break
+        candidates = np.concatenate((freqs, 0.5 * (freqs[:-1] + freqs[1:])))
+        g = gains(candidates)
+        k = int(np.argmax(g))
+        if g[k] <= lo:
+            break
+        lo, peak = float(g[k]), float(candidates[k])
+        if stop is not None and stop(lo):
+            break
+    else:
+        raise BracketError("level-set iteration did not stop in 64 rounds")
+    return HinfResult(lo, peak, iterations)
+
+
+def test_hinf_norms_rows_match_hinf_norm_alone():
+    """Each row of a lockstep batch has the value, peak frequency and
+    iteration count, bit for bit, that hinf_norm gives its loop alone and
+    that the per-loop reference gives: rows that certify, rows stopped at
+    the probe bound or after a raise, and rows that finish in different
+    rounds."""
+    rng = np.random.default_rng(27)
+    finished_in = set()
+    stopped = certified = 0
+    for k, n_x in enumerate((1, 2, 3, 4, 6, 8, 12, 16) * 2):
+        A_F, C_F, B1, D11 = stable_random_batch(rng, n_x, 6, feedthrough=(0.0, 0.3)[k % 2])
+        full = _alone(A_F, C_F, B1, D11)
+        # stop never, at the probe bound, or part of the way up
+        limits = [np.inf, 0.0, *rng.uniform(0.5, 1.0, 4)] * np.array([r.value for r in full])
+        poles = [analysis._real_eig(A) for A in A_F] if k % 3 == 0 else None
+        batch = hinf_norms(A_F, C_F, B1, D11, 1e-6, poles, stop=lambda lo: lo >= limits)
+        for A, C, limit, exact, res in zip(A_F, C_F, limits, full, batch):
+            cl = ClosedLoopRealization(A, B1, C, D11)
+            assert repr(res) == repr(hinf_norm(cl, stop=lambda lo: lo >= limit))
+            assert repr(res) == repr(reference_hinf_norm(cl, stop=lambda lo: lo >= limit))
+            stopped += res.iterations < exact.iterations
+            certified += repr(res) == repr(exact)
+        assert repr(hinf_norms(A_F, C_F, B1, D11)) == repr(full)
+        assert repr(full) == repr([reference_hinf_norm(cl) for cl in _loops(A_F, C_F, B1, D11)])
+        finished_in.add(tuple(r.iterations for r in full))
+    assert stopped > 10 and certified > 10
+    assert any(len(set(rounds)) > 1 for rounds in finished_in)
+
+
+def test_hinf_norms_unstable_or_nonfinite_row_fails_alone():
+    rng = np.random.default_rng(28)
+    A_F, C_F, B1, D11 = stable_random_batch(rng, 3, 5, feedthrough=0.3)
+    A_F[1] += 20.0 * np.eye(3)
+    C_F[3, 0, 1] = np.inf
+    batch = hinf_norms(A_F, C_F, B1, D11)
+    assert isinstance(batch[1], InstabilityError)
+    with pytest.raises(InstabilityError):
+        hinf_norm(ClosedLoopRealization(A_F[1], B1, C_F[1], D11))
+    assert isinstance(batch[3], NonFiniteEntryError)
+    kept = [0, 2, 4]
+    assert repr([batch[r] for r in kept]) == repr(_alone(A_F[kept], C_F[kept], B1, D11))
+
+
+def test_hinf_norms_failing_eigensolve_fails_only_its_row(monkeypatch):
+    rng = np.random.default_rng(29)
+    A_F, C_F, B1, D11 = stable_random_batch(rng, 4, 5)
+    alone = _alone(A_F, C_F, B1, D11)
+    real_eig = analysis._real_eig
+
+    def failing(M):
+        # D11 = 0, so a Hamiltonian's leading block is its row's A_F
+        if M.shape[0] == 8 and np.array_equal(M[:4, :4], A_F[2]):
+            raise EigenSolveError("dgeev failed to converge (info=1)")
+        return real_eig(M)
+
+    monkeypatch.setattr(analysis, "_real_eig", failing)
+    batch = hinf_norms(A_F, C_F, B1, D11)
+    assert isinstance(batch[2], EigenSolveError)
+    assert repr(batch[:2] + batch[3:]) == repr(alone[:2] + alone[3:])
+
+
+def test_hinf_norms_endless_rise_fails_only_its_row(monkeypatch):
+    rng = np.random.default_rng(30)
+    A_F, C_F, B1, D11 = stable_random_batch(rng, 4, 5)
+    alone = _alone(A_F, C_F, B1, D11)
+    real_eig, max_gains = analysis._real_eig, analysis._max_gains
+    rises = iter(range(1, 1000))
+    rounds = []
+
+    def crossing(M):
+        # row 3's Hamiltonians always cross the axis at w = 1
+        if M.shape[0] == 8 and np.array_equal(M[:4, :4], A_F[3]):
+            rounds.append(1)
+            return np.zeros(8), np.ones(8)
+        return real_eig(M)
+
+    def rising(A, C, B, D, w):
+        # and its gain there rises every round
+        gains = max_gains(A, C, B, D, w)
+        gains[(A == A_F[3]).all(axis=(1, 2))] = next(rises)
+        return gains
+
+    monkeypatch.setattr(analysis, "_real_eig", crossing)
+    monkeypatch.setattr(analysis, "_max_gains", rising)
+    batch = hinf_norms(A_F, C_F, B1, D11)
+    assert isinstance(batch[3], BracketError) and len(rounds) == 64
+    assert repr(batch[:3] + batch[4:]) == repr(alone[:3] + alone[4:])
 
 
 # ---------------------------------------------------------------------------

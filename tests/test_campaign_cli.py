@@ -297,6 +297,39 @@ def test_cli_oracle_unparsable_gain(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [None, "a b\nc d\n"], ids=["missing", "non-numeric"])
+def test_cli_oracle_bad_gain_file(content, tmp_path, capsys):
+    gain_file = tmp_path / "gain.txt"
+    if content is not None:
+        gain_file.write_text(content)
+    code = main([
+        "oracle", "--problem", builtin_plant_path("double_integrator"),
+        "--gain-file", str(gain_file),
+    ])
+    assert code == 2
+    assert "gain.txt" in capsys.readouterr().err
+
+
+def test_cli_oracle_gain_file(tmp_path, capsys):
+    gain_file = tmp_path / "gain.txt"
+    gain_file.write_text("-1 -2\n")
+    code = main([
+        "oracle", "--problem", builtin_plant_path("double_integrator"),
+        "--gain-file", str(gain_file),
+    ])
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "bench", "oracle"])
+def test_cli_non_utf8_problem_file_exit_2(command, tmp_path, capsys):
+    binary = tmp_path / "binary.plant"
+    binary.write_bytes(b"\xff\xfe\x80\x81 not a plant file\n")
+    extra = ["--out", str(tmp_path / "out")] if command == "bench" else []
+    code = main([command, "--problem", str(binary), *extra])
+    assert code == 2
+    assert "binary.plant" in capsys.readouterr().err
+
+
 def _read_csv_without_wall_time(path):
     with open(path) as fh:
         recs = list(csv.DictReader(fh))

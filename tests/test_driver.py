@@ -365,15 +365,17 @@ def test_local_floors_change_no_bit_of_a_solve(plant_name, monkeypatch):
     else:
         plant = _planted_d11_plant(seed=3)
     config = SolverConfig(t_max=300, seed=5)
-    hinf_norm = objectives.hinf_norm
+    hinf_norms = objectives.hinf_norms
     stops = []
 
-    def counting(cl, rel_tol, poles=None, stop=None):
-        res = hinf_norm(cl, rel_tol=rel_tol, poles=poles, stop=stop)
-        stops.append(stop is not None and stop(res.value))
-        return res
+    def counting(A_F, C_F, B1, D11, rel_tol, poles=None, stop=None):
+        results = hinf_norms(A_F, C_F, B1, D11, rel_tol, poles, stop)
+        values = np.array([r.value for r in results])
+        held = [False] * len(results) if stop is None else stop(values)
+        stops.extend(bool(h) for h in held)
+        return results
 
-    monkeypatch.setattr(objectives, "hinf_norm", counting)
+    monkeypatch.setattr(objectives, "hinf_norms", counting)
     floored = solve(plant, config)
     assert sum(stops) > len(stops) // 4
     stops.clear()

@@ -8,6 +8,7 @@ from sofsyn.errors import DimensionMismatchError
 from sofsyn.analysis import spectral_abscissa
 from sofsyn.model import PlantRealization, close_loop, unflatten_gain
 from sofsyn.objectives import (
+    Evaluation,
     FitnessConfig,
     ObjectiveKind,
     PenaltyMode,
@@ -206,15 +207,17 @@ def test_evaluate_batch_rows_match_single_evaluations(kind, monkeypatch):
     import sofsyn.objectives as objectives
     from sofsyn.errors import BracketError
 
-    original = objectives.hinf_norm
+    original = objectives.hinf_norms
 
-    def failing_below(cl, rel_tol, poles=None, stop=None):
+    def failing_below(A_F, C_F, B1, D11, rel_tol, poles=None, stop=None):
         # stands in for a norm failure on the f = -2 row (A_F[0, 0] = -3)
-        if cl.A_F[0, 0] < -2.5:
-            raise BracketError("no certifiable upper bound")
-        return original(cl, rel_tol=rel_tol, poles=poles, stop=stop)
+        results = original(A_F, C_F, B1, D11, rel_tol, poles, stop)
+        return [
+            BracketError("no certifiable upper bound") if A[0, 0] < -2.5 else res
+            for A, res in zip(A_F, results)
+        ]
 
-    monkeypatch.setattr(objectives, "hinf_norm", failing_below)
+    monkeypatch.setattr(objectives, "hinf_norms", failing_below)
     cfg = FitnessConfig(beta=1e-3)
     batch = evaluate_batch(BATCH_PLANT, BATCH_ROWS, kind, cfg)
     singles = [evaluate(BATCH_PLANT, row, kind, cfg) for row in BATCH_ROWS]
@@ -265,10 +268,10 @@ def test_feasible_hinf_row_reuses_the_stability_eigensolve(double_integrator, mo
 
     solves = []
     results = []
-    dgeev, hinf_norm = analysis.dgeev, objectives.hinf_norm
+    dgeev, hinf_norms = analysis.dgeev, objectives.hinf_norms
     monkeypatch.setattr(analysis, "dgeev", lambda *a, **k: solves.append(1) or dgeev(*a, **k))
     monkeypatch.setattr(
-        objectives, "hinf_norm", lambda *a, **k: results.append(hinf_norm(*a, **k)) or results[-1]
+        objectives, "hinf_norms", lambda *a, **k: results.extend(hinf_norms(*a, **k)) or results
     )
     ev = evaluate(double_integrator, [-1.0, -2.0], ObjectiveKind.HINF_NORM)
     assert ev.feasible and len(results) == 1
@@ -290,14 +293,14 @@ def test_floored_rows_stop_only_when_they_cannot_beat_their_floor(monkeypatch):
     X = rng.standard_normal((60, plant.dims.n)) * 10.0 ** rng.uniform(-2, 0.5, (60, 1))
     cfg = FitnessConfig(beta=1e-3)
     iterations = []
-    hinf_norm = objectives.hinf_norm
+    hinf_norms = objectives.hinf_norms
 
     def counting(*args, **kwargs):
-        res = hinf_norm(*args, **kwargs)
-        iterations.append(res.iterations)
-        return res
+        results = hinf_norms(*args, **kwargs)
+        iterations.extend(res.iterations for res in results)
+        return results
 
-    monkeypatch.setattr(objectives, "hinf_norm", counting)
+    monkeypatch.setattr(objectives, "hinf_norms", counting)
     exact = evaluate_batch(plant, X, ObjectiveKind.HINF_NORM, cfg)
     exact_iterations = list(iterations)
     feasible = [ev.feasible for ev in exact]
@@ -330,16 +333,19 @@ def test_floor_below_the_penalty_is_ignored(monkeypatch):
     import sofsyn.objectives as objectives
     from sofsyn.errors import BracketError
 
-    original = objectives.hinf_norm
+    original = objectives.hinf_norms
 
-    def failing_unless_stopped(cl, rel_tol, poles=None, stop=None):
+    def failing_unless_stopped(A_F, C_F, B1, D11, rel_tol, poles=None, stop=None):
         # stands in for a norm that fails in a round after the one that stops
-        res = original(cl, rel_tol=rel_tol, poles=poles, stop=stop)
-        if stop is None or not stop(res.value):
-            raise BracketError("no certifiable upper bound")
-        return res
+        results = original(A_F, C_F, B1, D11, rel_tol, poles, stop)
+        values = np.array([r.value for r in results])
+        held = [False] * len(results) if stop is None else stop(values)
+        return [
+            res if h else BracketError("no certifiable upper bound")
+            for res, h in zip(results, held)
+        ]
 
-    monkeypatch.setattr(objectives, "hinf_norm", failing_unless_stopped)
+    monkeypatch.setattr(objectives, "hinf_norms", failing_unless_stopped)
     cfg = FitnessConfig(beta=1e-3, infeasible_penalty=1e-2)
     row = np.array([[-1.0]])  # stable, norm above 0.2 = sigma_max(D11)
     kind = ObjectiveKind.HINF_NORM
@@ -350,3 +356,76 @@ def test_floor_below_the_penalty_is_ignored(monkeypatch):
     # a floor at the penalty is kept: the row stops and loses, as the exact row does
     [at] = evaluate_batch(BATCH_PLANT, row, kind, cfg, [-cfg.infeasible_penalty])
     assert at.feasible and at.fitness <= -cfg.infeasible_penalty
+
+
+def test_floor_below_the_penalty_is_ignored_beside_a_usable_one(monkeypatch):
+    """In one batch, a row whose floor is below -infeasible_penalty runs its
+    norm in full even while another row's floor stops its own."""
+    import sofsyn.objectives as objectives
+    from sofsyn.errors import BracketError
+
+    original = objectives.hinf_norms
+
+    def failing_unless_stopped(A_F, C_F, B1, D11, rel_tol, poles=None, stop=None):
+        results = original(A_F, C_F, B1, D11, rel_tol, poles, stop)
+        held = stop(np.array([r.value for r in results]))
+        return [
+            r if h else BracketError("no certifiable upper bound") for r, h in zip(results, held)
+        ]
+
+    monkeypatch.setattr(objectives, "hinf_norms", failing_unless_stopped)
+    cfg = FitnessConfig(beta=1e-3, infeasible_penalty=1e-2)
+    rows = np.array([[-1.0], [-1.5]])  # both stable, norms above 0.2 = sigma_max(D11)
+    floors = [-2 * cfg.infeasible_penalty, -cfg.infeasible_penalty]
+    low, usable = evaluate_batch(BATCH_PLANT, rows, ObjectiveKind.HINF_NORM, cfg, floors)
+    assert low.fitness == -cfg.infeasible_penalty and not low.feasible
+    assert usable.feasible and usable.fitness <= -cfg.infeasible_penalty
+
+
+def test_evaluate_batch_eigensolves_once_per_loop_and_per_round(monkeypatch):
+    """A batch makes one dgeev call per finite row, for its stability
+    verdict, and one per Hamiltonian round of each stable H-infinity row:
+    sum(1 + iterations) over the stable rows."""
+    import dataclasses
+
+    from sofsyn import analysis
+    import sofsyn.objectives as objectives
+    from test_model import random_plant
+
+    rng = np.random.default_rng(31)
+    plant = random_plant(rng, n_x=5, n_u=2, n_y=3)
+    plant = dataclasses.replace(plant, A=plant.A - (spectral_abscissa(plant.A) + 0.5) * np.eye(5))
+    X = rng.standard_normal((24, plant.dims.n)) * 10.0 ** rng.uniform(-2, 0.5, (24, 1))
+    X[5] = np.inf
+    cfg = FitnessConfig(beta=1e-3)
+    solves, results = [], []
+    dgeev, hinf_norms = analysis.dgeev, objectives.hinf_norms
+    monkeypatch.setattr(analysis, "dgeev", lambda *a, **k: solves.append(1) or dgeev(*a, **k))
+
+    def recording(*args, **kwargs):
+        results.extend(hinf_norms(*args, **kwargs))
+        return results[-len(args[0]):]
+
+    monkeypatch.setattr(objectives, "hinf_norms", recording)
+    exact = evaluate_batch(plant, X, ObjectiveKind.HINF_NORM, cfg)
+    for floors in (None, [ev.fitness for ev in exact]):
+        solves.clear()
+        results.clear()
+        evals = evaluate_batch(plant, X, ObjectiveKind.HINF_NORM, cfg, floors)
+        stable = sum(ev.feasible for ev in evals)
+        assert 5 <= stable < len(X) - 1 and len(results) == stable
+        assert len(solves) == (len(X) - stable - 1) + sum(1 + r.iterations for r in results)
+
+
+def test_stable_row_with_overflowing_performance_output_scores_the_penalty():
+    # f = -1e10 keeps A_F finite and Hurwitz, but C_F = C1 + D12 f C = -inf
+    plant = PlantRealization(
+        A=BATCH_PLANT.A, B1=BATCH_PLANT.B1, B=BATCH_PLANT.B, C1=BATCH_PLANT.C1,
+        D11=BATCH_PLANT.D11, D12=[[1e300]], C=BATCH_PLANT.C, name="overflow",
+    )
+    expected = Evaluation(-100000.0, math.inf, 1e10, False)
+    kind = ObjectiveKind.HINF_NORM
+    assert _same_bits(evaluate(plant, np.array([-1e10]), kind), expected)
+    batch = evaluate_batch(plant, np.array([[-1e10], [0.0], [-1e10]]), kind)
+    assert _same_bits(batch[0], expected) and _same_bits(batch[2], expected)
+    assert not batch[1].feasible and batch[1].fitness < -1e5

@@ -105,6 +105,13 @@ def test_missing_file_names_path(tmp_path):
         load_problem(missing)
 
 
+def test_non_utf8_file_rejected(tmp_path):
+    binary = tmp_path / "binary.plant"
+    binary.write_bytes(b"name x\n\xff\xfe\x80 dims 1 1 1 1 1\n")
+    with pytest.raises(ProblemFileError, match="binary.plant"):
+        load_problem(binary)
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header comment\n\n" + MINIMAL.replace("matrix A 1 1", "matrix A 1 1 # inline")
     plant = parse_problem(text)
