@@ -18,14 +18,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import statistics
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .driver import RunResult, SolverConfig, solve
+from .driver import RunResult, SolverConfig
+from .driver import solve as _driver_solve
 from .errors import ConfigError, SofsynError
 from .model import PlantRealization
 from .objectives import gain_norm
@@ -134,13 +137,34 @@ def summarize(problem: str, rows: list[RunRow]) -> CampaignSummary:
     )
 
 
-def _run_row(plant: PlantRealization, spec: CampaignSpec, run_index: int) -> RunRow:
+#: ``pool``: set on the parent threads of a pooled campaign.
+_parent = threading.local()
+
+
+def solve(plant: PlantRealization, config: SolverConfig, progress=None) -> RunResult:
+    """Solve one campaign run. On a parent thread of a pooled campaign the
+    solve runs in a pool worker and its whole ``RunResult`` comes back;
+    otherwise, or when ``progress`` is given, it runs in this process."""
+    pool = getattr(_parent, "pool", None)
+    if pool is None or progress is not None:
+        return _driver_solve(plant, config, progress)
+    return pool.submit(_solve_in_worker, plant, config).result()
+
+
+def _solve_in_worker(plant: PlantRealization, config: SolverConfig) -> RunResult:
+    # the worker finds this by qualified name, so no caller may patch it
+    return _driver_solve(plant, config)
+
+
+def _run_row(spec: CampaignSpec, plant: PlantRealization, run_index: int) -> RunRow:
     seed = spec.base_seed + run_index
     t0 = time.perf_counter()
     try:
         result = solve(plant, replace(spec.config, seed=seed))
+    except ConfigError:
+        raise  # the configuration is wrong for the whole campaign
     except SofsynError:
-        # a failed run scores as unsuccessful; the campaign moves on
+        # a numerical failure scores as unsuccessful; the campaign moves on
         return RunRow(
             problem=plant.name, run_index=run_index, seed=seed,
             objective=math.inf, fitness=-math.inf, gain_norm=math.nan,
@@ -161,23 +185,56 @@ def _run_row(plant: PlantRealization, spec: CampaignSpec, run_index: int) -> Run
     )
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_pooled(spec: CampaignSpec, jobs: list, workers: int) -> list[RunRow]:
+    """The rows of ``jobs``, made by ``workers`` parent threads whose solves
+    run on as many worker processes; jobs go out largest n_x first."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].dims.n_x)
+    with ProcessPoolExecutor(workers, multiprocessing.get_context(method)) as pool:
+        # the first task forks every worker, here before any helper thread starts
+        pool.submit(int).result()
+        threads = ThreadPoolExecutor(workers, initializer=setattr, initargs=(_parent, "pool", pool))
+        try:
+            rows = dict(zip(order, threads.map(lambda i: _run_row(spec, *jobs[i]), order)))
+        finally:
+            threads.shutdown(cancel_futures=True)
+    return [rows[i] for i in range(len(jobs))]
+
+
 def run_campaign(
     spec: CampaignSpec, plants: list[PlantRealization] | None = None
 ) -> tuple[list[RunRow], list[CampaignSummary]]:
     """Execute all (problem, seed) runs and summarize them.
 
-    Runs execute one after another on the calling thread; rows are ordered
-    by (problem, run index). A run that fails to produce a feasible point is
-    recorded as an unsuccessful row; the campaign continues.
+    The runs go to ``min(spec.config.threads, number of runs, available
+    CPUs)`` worker processes, or run one after another on the calling
+    thread when that is 1. Either way rows are ordered by (problem, run
+    index) and equal bit for bit, wall times aside. A run that fails
+    numerically is recorded as an unsuccessful row and the campaign
+    continues; a ``ConfigError`` from any run ends the campaign.
     """
     if plants is None:
         plants = [load_problem(p) for p in spec.problems]
 
-    rows, summaries = [], []
-    for plant in plants:
-        chunk = [_run_row(plant, spec, run_index) for run_index in range(spec.runs)]
-        rows.extend(chunk)
-        summaries.append(summarize(plant.name, chunk))
+    jobs = [(plant, run_index) for plant in plants for run_index in range(spec.runs)]
+    workers = min(spec.config.threads, len(jobs), _available_cpus())
+    if workers > 1:
+        rows = _run_pooled(spec, jobs, workers)
+    else:
+        rows = [_run_row(spec, *job) for job in jobs]
+    summaries = [
+        summarize(plant.name, rows[k * spec.runs:(k + 1) * spec.runs])
+        for k, plant in enumerate(plants)
+    ]
     return rows, summaries
 
 

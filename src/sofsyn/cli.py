@@ -1,14 +1,16 @@
 """Command-line front end: solve | bench | oracle | validate.
 
-Exit codes: 0 success, 2 bad input (file, flags, dimensions), 3 requested
-analysis impossible (unstable closed loop), 1 unexpected numerical failure.
-Solves and ``bench`` campaigns run on the calling thread; --threads is
-validated and otherwise ignored.
+Exit codes: 0 success, 2 bad input (file, flags, dimensions, output path),
+3 requested analysis impossible (unstable closed loop), 1 unexpected
+numerical failure. A ``bench`` campaign runs its solves on up to --threads
+worker processes (see ``campaign.run_campaign``); its rows do not depend on
+--threads. A single ``solve`` runs on the calling thread and ignores it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -72,14 +74,33 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         help="charge local-search evaluations against the budget")
     parser.add_argument("--sigma0", type=float, default=0.3, help="initial step size")
     parser.add_argument("--threads", type=int, default=1,
-                        help="ignored (must be >= 1): every run is on the calling thread")
+                        help="bench: worker processes for its runs, at most one per CPU "
+                             "(rows do not depend on it); solve: ignored")
 
 
 def _format_matrix(M: np.ndarray) -> str:
     return "\n".join("  [" + "  ".join(f"{v: .10g}" for v in row) + "]" for row in M)
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before a solve or campaign, not after it, when ``path`` cannot
+    be written for want of its directory."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory} does not exist")
+
+
+def _write(write, *args) -> None:
+    """``write(*args)``, an ``OSError`` becoming a ``ConfigError`` (exit 2)."""
+    try:
+        write(*args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+
+
 def _cmd_solve(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     plant = load_problem(args.problem)
     config = _solver_config(args)
     progress = None
@@ -103,7 +124,7 @@ def _cmd_solve(args) -> int:
     print(f"evals: global={result.global_evals} local={result.local_evals}")
     print(f"wall time: {result.wall_time:.2f} s")
     if args.out:
-        write_run_result_json(result, args.out)
+        _write(write_run_result_json, result, args.out)
         print(f"result written to {args.out}")
     return 0
 
@@ -115,17 +136,17 @@ def _cmd_bench(args) -> int:
         runs=args.runs,
         base_seed=args.seed,
     )
+    if args.format == "json":
+        written = [args.out if args.out.endswith(".json") else args.out + ".json"]
+    else:
+        written = [args.out + "_rows.csv", args.out + "_summary.csv"]
+    _check_out_dir(written[0])  # all outputs share one directory
     rows, summaries = run_campaign(spec)
     if args.format == "json":
-        path = args.out if args.out.endswith(".json") else args.out + ".json"
-        write_campaign_json(rows, summaries, path)
-        written = [path]
+        _write(write_campaign_json, rows, summaries, written[0])
     else:
-        rows_path = args.out + "_rows.csv"
-        summary_path = args.out + "_summary.csv"
-        write_rows_csv(rows, rows_path)
-        write_summary_csv(summaries, summary_path)
-        written = [rows_path, summary_path]
+        _write(write_rows_csv, rows, written[0])
+        _write(write_summary_csv, summaries, written[1])
     for s in summaries:
         print(
             f"{s.problem}: success {s.success_count}/{s.runs}  "

@@ -57,8 +57,9 @@ class SolverConfig:
     additionally spends ``t_s`` local evaluations, which are charged
     against ``t_max`` only when ``charge_local_to_budget`` is set. The
     fitness fields are validated as :class:`FitnessConfig` validates them.
-    ``threads`` is validated but changes nothing: solves and campaigns run
-    on the calling thread.
+    ``threads`` caps the worker processes of a campaign
+    (:func:`sofsyn.campaign.run_campaign`) and changes no result; a single
+    solve runs on the calling thread and ignores it.
     """
 
     objective: ObjectiveKind = ObjectiveKind.HINF_NORM

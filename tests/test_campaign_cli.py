@@ -5,7 +5,7 @@ import statistics
 
 import pytest
 
-from sofsyn import builtin_plant_path
+from sofsyn import builtin_plant_path, campaign, cli
 from sofsyn.campaign import (
     CampaignSpec,
     RunRow,
@@ -20,7 +20,7 @@ from sofsyn.campaign import (
 )
 from sofsyn.cli import main
 from sofsyn.driver import SolverConfig
-from sofsyn.errors import ConfigError
+from sofsyn.errors import ConfigError, EigenSolveError
 from sofsyn.objectives import ObjectiveKind
 
 UNSTABILIZABLE = """
@@ -373,6 +373,7 @@ def test_cli_bench_json_format(tmp_path, capsys):
 def test_cli_threads_env_var(tmp_path, capsys, monkeypatch):
     """--threads and the retired SOFSYN_THREADS variable change no row."""
     monkeypatch.setenv("SOFSYN_THREADS", "lots")
+    monkeypatch.setattr(campaign, "_available_cpus", lambda: 2)  # pool on any host
     args = [
         "bench", "--problem", builtin_plant_path("double_integrator"),
         "--problem", builtin_plant_path("first_order_lag"),
@@ -415,9 +416,16 @@ def test_cli_nan_setting_rejected(flag, capsys):
     assert "must be" in capsys.readouterr().err
 
 
-def test_campaign_failed_run_recorded_and_continues():
-    # rand4 has n=4 (population 8), so t_max=6 is an invalid configuration
-    # for it while the double integrator (n=2, population 6) still runs
+def test_campaign_failed_run_recorded_and_continues(monkeypatch):
+    # a numerical failure in one problem's runs leaves unsuccessful rows
+    real_solve = campaign._driver_solve
+
+    def failing_on_rand4(plant, config, progress=None):
+        if plant.name == "rand4":
+            raise EigenSolveError("dgeev did not converge")
+        return real_solve(plant, config, progress)
+
+    monkeypatch.setattr(campaign, "_driver_solve", failing_on_rand4)
     spec = CampaignSpec(
         problems=(builtin_plant_path("rand4"), builtin_plant_path("double_integrator")),
         config=di_config(t_max=6, t_s=1),
@@ -430,3 +438,44 @@ def test_campaign_failed_run_recorded_and_continues():
     assert sums[0].success_count == 0
     di_rows = [r for r in rows if r.problem == "double_integrator"]
     assert all(r.global_evals == 6 for r in di_rows)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_bench_config_error_exit_2(threads, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(campaign, "_available_cpus", lambda: 2)
+    code = main([
+        "bench", "--problem", builtin_plant_path("rand4"), "--budget", "3", "--runs", "2",
+        "--threads", threads, "--out", str(tmp_path / "c"),
+    ])
+    assert code == 2
+    assert "population size p=8" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--out"],
+    ["bench", "--format", "csv", "--out"],
+    ["bench", "--format", "json", "--out"],
+])
+def test_cli_missing_out_dir_exit_2_before_solving(command, tmp_path, capsys, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(cli, "solve", not_reached)
+    monkeypatch.setattr(cli, "run_campaign", not_reached)
+    code = main(command[:1] + ["--problem", builtin_plant_path("double_integrator")]
+                + command[1:] + [str(tmp_path / "missing" / "out.json")])
+    assert code == 2
+    assert "error: output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve"], ["bench", "--format", "json"]])
+def test_cli_unwritable_out_exit_2(command, tmp_path, capsys):
+    out = tmp_path / "taken.json"
+    out.mkdir()
+    code = main(command + [
+        "--problem", builtin_plant_path("double_integrator"), "--objective", "sa",
+        "--budget", "30", "--local-iters", "2", "--out", str(out),
+    ])
+    assert code == 2
+    assert "error: cannot write output" in capsys.readouterr().err
