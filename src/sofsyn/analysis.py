@@ -10,6 +10,9 @@ Two independent routes to the H-infinity norm live here:
   golden-section refinement around the sampled peak. A certified lower
   bound on the true norm; kept independent of the level-set code so the
   two can cross-check each other.
+
+Eigenvalues come from :func:`dgeev`, one numpy call per stack of matrices:
+per batch for stability, and per level-set round for the Hamiltonians.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeev
 
 from .errors import (
     BracketError,
@@ -88,22 +90,38 @@ def _check_square_finite(M) -> np.ndarray:
     return M
 
 
-def _real_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(real parts, imaginary parts) of the eigenvalues of a real matrix.
+def dgeev(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(real parts, imaginary parts), each (k, n), of the eigenvalues of the
+    stack M (k, n, n) by LAPACK's dgeev, in one numpy call, which raises
+    ``np.linalg.LinAlgError`` if any matrix is non-finite or fails."""
+    w = np.linalg.eigvals(M)
+    return w.real, w.imag
 
-    Thin dgeev wrapper used on the hot paths; callers must pass finite
-    square input.
-    """
-    wr, wi, _, _, info = dgeev(M, compute_vl=0, compute_vr=0, overwrite_a=0)
-    if info != 0:
-        raise EigenSolveError(f"dgeev failed to converge (info={info})")
+
+def _spectra(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dgeev` of the stack M, redone one matrix at a time if it fails,
+    so only the matrices that fail alone fail: their rows are NaN."""
+    try:
+        return dgeev(M)
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.full((2, 1, M.shape[-1]), np.nan)
+        wr, wi = zip(*map(_spectra, M[:, None]))
+        return np.concatenate(wr), np.concatenate(wi)
+
+
+def _real_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(real parts, imaginary parts) of the eigenvalues of a finite square
+    real matrix: the one-row case of :func:`_spectra`."""
+    [wr], [wi] = _spectra(M[None])
+    if np.isnan(wr[0]):
+        raise EigenSolveError("dgeev failed to converge")
     return wr, wi
 
 
 def spectral_abscissa(M) -> float:
     """Largest real part over the eigenvalues of a square real matrix."""
-    M = _check_square_finite(M)
-    wr, _ = _real_eig(M)
+    wr, _ = _real_eig(_check_square_finite(M))
     return float(wr.max())
 
 
@@ -283,13 +301,14 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
     and at their midpoints. A row stops when no crossing remains, which
     certifies its norm within [value, (1 + rel_tol) * value], or when the
     crossings raise no gain above the bound, which makes them rounding
-    error rather than gain. The rows run in lockstep: each stage is one
-    stacked call over the rows still iterating (but one eigensolve per
-    Hamiltonian), and every row gets the bits it would get alone.
+    error rather than gain. The rows run in lockstep: each stage, the
+    eigensolves included, is one stacked call over the rows still
+    iterating (one :func:`dgeev` call per round), and every row gets the
+    bits it would get alone.
 
-    ``poles`` holds each row's ``_real_eig(A_F[r])`` pair (real parts,
-    imaginary parts) for callers that already hold them; the results do
-    not depend on it. ``stop`` is an optional predicate on the array of all
+    ``poles`` is the pair (real parts, imaginary parts) of the eigenvalues
+    of A_F, stacked as :func:`dgeev` returns them, for callers that already
+    hold it; the results do not depend on it. ``stop`` is an optional predicate on the array of all
     rows' lower bounds that returns a mask of rows to stop; it is heeded
     for the rows just probed or raised, after the pole probes and after
     each round. A stopped row returns its bound as ``value``: a gain
@@ -299,7 +318,8 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
     Returns, per row, its :class:`HinfResult` or the error it would raise
     alone: :class:`NonFiniteEntryError` if A_F[r] or C_F[r] has a
     non-finite entry, :class:`InstabilityError` if A_F[r] is not Hurwitz,
-    :class:`EigenSolveError` from one of its eigensolves, or
+    :class:`EigenSolveError` if one of its eigensolves fails to converge or
+    its Hamiltonian has a non-finite entry (so it is never certified), or
     :class:`BracketError` if it has not stopped after 64 rounds.
     """
     if not rel_tol > 0:
@@ -307,23 +327,21 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
     results = [None] * len(A_F)
     lo = [0.0] * len(A_F)
     peak = [0.0] * len(A_F)
-    act, spectra = [], []
     finite = np.isfinite(A_F).all(axis=(1, 2)) & np.isfinite(C_F).all(axis=(1, 2))
-    for r, A in enumerate(A_F):
-        if not finite[r]:
-            results[r] = NonFiniteEntryError("A_F or C_F contains non-finite entries")
-            continue
-        try:
-            wr, wi = _real_eig(A) if poles is None else poles[r]
-        except EigenSolveError as exc:
-            results[r] = exc
-            continue
-        abscissa = wr.max()
+    for r in np.flatnonzero(~finite).tolist():
+        results[r] = NonFiniteEntryError("A_F or C_F contains non-finite entries")
+    act = np.flatnonzero(finite).tolist()
+    if not act:
+        return results
+    wr, wi = _spectra(A_F[act]) if poles is None else (poles[0][act], poles[1][act])
+    abscissas = wr.max(axis=1)
+    for r, abscissa in zip(act, abscissas.tolist()):
         if abscissa >= 0:
             results[r] = InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
-        else:
-            act.append(r)
-            spectra.append((wr, wi))
+        elif abscissa != abscissa:
+            results[r] = EigenSolveError("dgeev failed to converge")
+    stable = abscissas < 0
+    act, wr, wi = [r for r in act if results[r] is None], wr[stable], wi[stable]
     if not act:
         return results
 
@@ -339,8 +357,7 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
         act = [r for r in act if not held[r]]
 
     # one probe per conjugate pair of poles: its partner has the same |lam|
-    S = np.array(spectra)
-    probes = np.sort(np.where(S[:, 1] >= 0, np.hypot(S[:, 0], S[:, 1]), np.inf), axis=1)
+    probes = np.sort(np.where(wi >= 0, np.hypot(wr, wi), np.inf), axis=1)
     probes = np.concatenate((np.zeros((len(act), 1)), probes), axis=1)
     d_norm = float(np.linalg.svd(D11, compute_uv=False)[0]) if D11.any() else 0.0
     for r, (gain, freq) in zip(act, _peaks(A_F, C_F, B1, D11, np.array(act), probes)):
@@ -358,18 +375,13 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
         rows = np.array(act)
         gammas = [(1.0 + rel_tol) * lo[r] for r in act]
         H = build(rows, np.array([g * g for g in gammas])[:, None, None])
-        spectra, act = [], []
-        for r, Hr in zip(rows.tolist(), H):
-            try:
-                spectra.append(_real_eig(Hr))
-                act.append(r)
-            except EigenSolveError as exc:
-                results[r] = exc
-        if not act:
-            break
-        rows = np.array(act)
-        S = np.array(spectra)
-        wr, wi = S[:, 0], S[:, 1]
+        wr, wi = _spectra(H)
+        failed = np.isnan(wr[:, 0])
+        if failed.any():
+            for r in rows[failed].tolist():
+                results[r] = EigenSolveError("dgeev failed to converge or met a non-finite entry")
+            rows, wr, wi = rows[~failed], wr[~failed], wi[~failed]
+        act = rows.tolist()
         # one crossing per conjugate pair: its partner has the same |Im lam|
         on_axis = (np.abs(wr) <= IMAG_AXIS_RTOL * (1.0 + np.hypot(wr, wi))) & (wi >= 0)
         freqs = np.sort(np.where(on_axis, np.abs(wi), np.inf), axis=1)
@@ -408,13 +420,13 @@ def hinf_norm(
     InstabilityError
         If A_F is not Hurwitz.
     EigenSolveError
-        If an eigensolve fails to converge.
+        If an eigensolve fails to converge or meets a non-finite entry.
     BracketError
         If the iteration has not stopped after 64 rounds (pathological
         conditioning).
     """
     one_stop = None if stop is None else lambda lo: np.array([bool(stop(float(lo[0])))])
-    poles = None if poles is None else [poles]
+    poles = None if poles is None else (poles[0][None], poles[1][None])
     [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, rel_tol, poles, one_stop)
     if isinstance(res, SofsynError):
         raise res

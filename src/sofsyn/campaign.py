@@ -156,6 +156,14 @@ def _solve_in_worker(plant: PlantRealization, config: SolverConfig) -> RunResult
     return _driver_solve(plant, config)
 
 
+def _failed_row(spec: CampaignSpec, plant: PlantRealization, run_index: int, wall: float) -> RunRow:
+    return RunRow(
+        problem=plant.name, run_index=run_index, seed=spec.base_seed + run_index,
+        objective=math.inf, fitness=-math.inf, gain_norm=math.nan,
+        feasible=False, global_evals=0, local_evals=0, wall_time_s=wall,
+    )
+
+
 def _run_row(spec: CampaignSpec, plant: PlantRealization, run_index: int) -> RunRow:
     seed = spec.base_seed + run_index
     t0 = time.perf_counter()
@@ -165,12 +173,7 @@ def _run_row(spec: CampaignSpec, plant: PlantRealization, run_index: int) -> Run
         raise  # the configuration is wrong for the whole campaign
     except SofsynError:
         # a numerical failure scores as unsuccessful; the campaign moves on
-        return RunRow(
-            problem=plant.name, run_index=run_index, seed=seed,
-            objective=math.inf, fitness=-math.inf, gain_norm=math.nan,
-            feasible=False, global_evals=0, local_evals=0,
-            wall_time_s=time.perf_counter() - t0,
-        )
+        return _failed_row(spec, plant, run_index, time.perf_counter() - t0)
     return RunRow(
         problem=plant.name,
         run_index=run_index,
@@ -193,20 +196,47 @@ def _available_cpus() -> int:
 
 def _run_pooled(spec: CampaignSpec, jobs: list, workers: int) -> list[RunRow]:
     """The rows of ``jobs``, made by ``workers`` parent threads whose solves
-    run on as many worker processes; jobs go out largest n_x first."""
+    run on as many worker processes; jobs go out largest n_x first. When a
+    worker dies, each job in flight is retried once, alone on a fresh
+    one-worker pool, and is an unsuccessful row if that pool breaks too;
+    the jobs not yet started go on on a fresh pool."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].dims.n_x)
-    with ProcessPoolExecutor(workers, multiprocessing.get_context(method)) as pool:
-        # the first task forks every worker, here before any helper thread starts
-        pool.submit(int).result()
-        threads = ThreadPoolExecutor(workers, initializer=setattr, initargs=(_parent, "pool", pool))
-        try:
-            rows = dict(zip(order, threads.map(lambda i: _run_row(spec, *jobs[i]), order)))
-        finally:
-            threads.shutdown(cancel_futures=True)
+    rows = {}
+
+    def run(batch: list, size: int) -> list:
+        # the jobs of batch in flight when the pool broke, if it did
+        struck = []
+
+        def row(i):
+            # a broken pool starts no job; one that starts as it breaks is struck too
+            if not struck:
+                try:
+                    rows[i] = _run_row(spec, *jobs[i])
+                except BrokenProcessPool:
+                    struck.append(i)
+
+        with ProcessPoolExecutor(size, multiprocessing.get_context(method)) as pool:
+            # the first task forks every worker, here before any helper thread starts
+            pool.submit(int).result()
+            threads = ThreadPoolExecutor(
+                size, initializer=setattr, initargs=(_parent, "pool", pool))
+            try:
+                list(threads.map(row, batch))
+            finally:
+                threads.shutdown(cancel_futures=True)
+        return struck
+
+    pending = sorted(range(len(jobs)), key=lambda i: -jobs[i][0].dims.n_x)
+    while pending:
+        for i in run(pending, workers):
+            t0 = time.perf_counter()
+            if run([i], 1):
+                rows[i] = _failed_row(spec, *jobs[i], time.perf_counter() - t0)
+        pending = [i for i in pending if i not in rows]
     return [rows[i] for i in range(len(jobs))]
 
 
@@ -219,8 +249,9 @@ def run_campaign(
     CPUs)`` worker processes, or run one after another on the calling
     thread when that is 1. Either way rows are ordered by (problem, run
     index) and equal bit for bit, wall times aside. A run that fails
-    numerically is recorded as an unsuccessful row and the campaign
-    continues; a ``ConfigError`` from any run ends the campaign.
+    numerically, or whose worker dies twice, is recorded as an unsuccessful
+    row and the campaign continues; a ``ConfigError`` from any run ends
+    the campaign.
     """
     if plants is None:
         plants = [load_problem(p) for p in spec.problems]

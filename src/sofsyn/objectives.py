@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import STABILITY_TOL, HinfResult, _real_eig, hinf_norms, is_hurwitz
+from .analysis import STABILITY_TOL, HinfResult, _spectra, hinf_norms, is_hurwitz
 from .analysis import hinf_norm  # noqa: F401  (a binding perfbench/tracing.py patches)
 from .errors import DimensionMismatchError
 from .model import PlantRealization, close_loop, unflatten_gain
@@ -158,37 +158,40 @@ def evaluate_batch(
         return Evaluation(fitness, math.inf, norm_a, False)
 
     evals = [None] * len(X)
-    stable, poles = [], []
-    for i, (A, norm_a, ok) in enumerate(zip(A_F, norms, finite)):
-        if not ok:
-            # overflowed candidate: rank below everything, never selected
-            evals[i] = Evaluation(-math.inf, math.inf, norm_a, False)
-            continue
-        spectrum = _real_eig(A)
-        abscissa = float(spectrum[0].max())
-        feasible = bool(abscissa < -cfg.stability_tol)
-        if kind is ObjectiveKind.SPECTRAL_ABSCISSA:
-            evals[i] = Evaluation(-(abscissa + cfg.beta * norm_a), abscissa, norm_a, feasible)
+    for i in np.flatnonzero(~finite).tolist():
+        # overflowed candidate: rank below everything, never selected
+        evals[i] = Evaluation(-math.inf, math.inf, norms[i], False)
+    rows = np.flatnonzero(finite)
+    wr, wi = _spectra(A_F[rows])
+    stable = []
+    for j, (i, abscissa) in enumerate(zip(rows.tolist(), wr.max(axis=1).tolist())):
+        feasible = abscissa < -cfg.stability_tol
+        if abscissa != abscissa:
+            # the stability eigensolve failed: no verdict, so infeasible
+            evals[i] = penalized(0.0, norms[i])
+        elif kind is ObjectiveKind.SPECTRAL_ABSCISSA:
+            evals[i] = Evaluation(-(abscissa + cfg.beta * norms[i]), abscissa, norms[i], feasible)
         elif feasible:
-            stable.append(i)
-            poles.append(spectrum)
+            stable.append(j)
         else:
-            evals[i] = penalized(abscissa, norm_a)
+            evals[i] = penalized(abscissa, norms[i])
     if not stable:
         return evals
 
+    idx = rows[stable]
     with np.errstate(over="ignore", invalid="ignore"):
-        C_F = plant.C1 + plant.D12 @ FC[stable]
+        C_F = plant.C1 + plant.D12 @ FC[idx]
     stop = None
     if floors is not None:
-        floor = np.asarray(floors, dtype=float)[stable]
+        floor = np.asarray(floors, dtype=float)[idx]
         usable = floor >= -cfg.infeasible_penalty
         if usable.any():
-            norm = np.array([norms[i] for i in stable])
+            norm = np.array(norms)[idx]
             # the fitness expression itself, so rounding cannot flip a decision
             stop = lambda lo: usable & (-(lo + cfg.beta * norm) <= floor)  # noqa: E731
-    results = hinf_norms(A_F[stable], C_F, plant.B1, plant.D11, cfg.norm_rel_tol, poles, stop)
-    for i, res in zip(stable, results):
+    poles = (wr[stable], wi[stable])
+    results = hinf_norms(A_F[idx], C_F, plant.B1, plant.D11, cfg.norm_rel_tol, poles, stop)
+    for i, res in zip(idx.tolist(), results):
         if isinstance(res, HinfResult):
             evals[i] = Evaluation(-(res.value + cfg.beta * norms[i]), res.value, norms[i], True)
         else:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -333,7 +338,7 @@ def test_hinf_round_cap_raises_bracket_error(monkeypatch):
     # a crossing that never goes away and a gain that rises every round
     rises = iter(range(1, 1000))
     poles = analysis._real_eig(FIRST_ORDER_LAG.A_F)
-    monkeypatch.setattr(analysis, "_real_eig", lambda H: (np.zeros(1), np.ones(1)))
+    monkeypatch.setattr(analysis, "dgeev", lambda H: (np.zeros((len(H), 1)), np.ones((len(H), 1))))
     monkeypatch.setattr(
         analysis, "_max_gains", lambda A_F, C_F, B1, D11, w: np.full(w.size, next(rises), float)
     )
@@ -497,7 +502,7 @@ def test_hinf_norms_rows_match_hinf_norm_alone():
         full = _alone(A_F, C_F, B1, D11)
         # stop never, at the probe bound, or part of the way up
         limits = [np.inf, 0.0, *rng.uniform(0.5, 1.0, 4)] * np.array([r.value for r in full])
-        poles = [analysis._real_eig(A) for A in A_F] if k % 3 == 0 else None
+        poles = analysis.dgeev(A_F) if k % 3 == 0 else None
         batch = hinf_norms(A_F, C_F, B1, D11, 1e-6, poles, stop=lambda lo: lo >= limits)
         for A, C, limit, exact, res in zip(A_F, C_F, limits, full, batch):
             cl = ClosedLoopRealization(A, B1, C, D11)
@@ -530,15 +535,15 @@ def test_hinf_norms_failing_eigensolve_fails_only_its_row(monkeypatch):
     rng = np.random.default_rng(29)
     A_F, C_F, B1, D11 = stable_random_batch(rng, 4, 5)
     alone = _alone(A_F, C_F, B1, D11)
-    real_eig = analysis._real_eig
+    dgeev = analysis.dgeev
 
     def failing(M):
         # D11 = 0, so a Hamiltonian's leading block is its row's A_F
-        if M.shape[0] == 8 and np.array_equal(M[:4, :4], A_F[2]):
-            raise EigenSolveError("dgeev failed to converge (info=1)")
-        return real_eig(M)
+        if M.shape[1] == 8 and any(np.array_equal(H[:4, :4], A_F[2]) for H in M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return dgeev(M)
 
-    monkeypatch.setattr(analysis, "_real_eig", failing)
+    monkeypatch.setattr(analysis, "dgeev", failing)
     batch = hinf_norms(A_F, C_F, B1, D11)
     assert isinstance(batch[2], EigenSolveError)
     assert repr(batch[:2] + batch[3:]) == repr(alone[:2] + alone[3:])
@@ -548,16 +553,16 @@ def test_hinf_norms_endless_rise_fails_only_its_row(monkeypatch):
     rng = np.random.default_rng(30)
     A_F, C_F, B1, D11 = stable_random_batch(rng, 4, 5)
     alone = _alone(A_F, C_F, B1, D11)
-    real_eig, max_gains = analysis._real_eig, analysis._max_gains
+    dgeev, max_gains = analysis.dgeev, analysis._max_gains
     rises = iter(range(1, 1000))
     rounds = []
 
     def crossing(M):
         # row 3's Hamiltonians always cross the axis at w = 1
-        if M.shape[0] == 8 and np.array_equal(M[:4, :4], A_F[3]):
-            rounds.append(1)
-            return np.zeros(8), np.ones(8)
-        return real_eig(M)
+        wr, wi = dgeev(M)
+        row3 = np.array([M.shape[1] == 8 and np.array_equal(H[:4, :4], A_F[3]) for H in M])
+        rounds.extend(row3[row3])
+        return np.where(row3[:, None], 0.0, wr), np.where(row3[:, None], 1.0, wi)
 
     def rising(A, C, B, D, w):
         # and its gain there rises every round
@@ -565,11 +570,91 @@ def test_hinf_norms_endless_rise_fails_only_its_row(monkeypatch):
         gains[(A == A_F[3]).all(axis=(1, 2))] = next(rises)
         return gains
 
-    monkeypatch.setattr(analysis, "_real_eig", crossing)
+    monkeypatch.setattr(analysis, "dgeev", crossing)
     monkeypatch.setattr(analysis, "_max_gains", rising)
     batch = hinf_norms(A_F, C_F, B1, D11)
     assert isinstance(batch[3], BracketError) and len(rounds) == 64
     assert repr(batch[:3] + batch[4:]) == repr(alone[:3] + alone[4:])
+
+
+def _stacks_to_solve(rng):
+    """Closed loops at n = 1-64 and their Hamiltonians (n = 2-64), without
+    and with D11, as stacks of five matrices."""
+    for n_x in range(1, 65):
+        yield stable_random_batch(rng, n_x, 5)[0]
+    for n_x in range(1, 33):
+        for feedthrough in (0.0, 0.3):
+            A_F, C_F, B1, D11 = stable_random_batch(rng, n_x, 5, feedthrough=feedthrough)
+            d_norm = np.linalg.svd(D11, compute_uv=False)[0]
+            g2 = (d_norm + 10.0 ** rng.uniform(-2, 1, 5)) ** 2
+            yield analysis._hamiltonians(A_F, C_F, B1, D11)(np.arange(5), g2[:, None, None])
+
+
+def test_dgeev_stack_matches_per_matrix_calls():
+    """One stacked eigensolve gives every matrix the bits, in the same
+    order, that a call on that matrix alone gives it."""
+    rng = np.random.default_rng(33)
+    for M in _stacks_to_solve(rng):
+        wr, wi = analysis.dgeev(M)
+        for r in range(len(M)):
+            wr1, wi1 = analysis.dgeev(M[r:r + 1])
+            assert wr[r].tobytes() == wr1[0].tobytes() and wi[r].tobytes() == wi1[0].tobytes()
+
+
+def test_dgeev_matches_scipy_lapack_dgeev():
+    """The numpy route returns the eigenvalues scipy's LAPACK wrapper
+    returns, bit for bit and in order."""
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    rng = np.random.default_rng(34)
+    for M in _stacks_to_solve(rng):
+        wr, wi = analysis.dgeev(M)
+        for r, H in enumerate(M):
+            ref_wr, ref_wi, _, _, info = lapack.dgeev(H, compute_vl=0, compute_vr=0)
+            assert info == 0
+            assert wr[r].tobytes() == ref_wr.tobytes() and wi[r].tobytes() == ref_wi.tobytes()
+
+
+def test_failing_or_nonfinite_matrix_fails_only_its_row():
+    """A stack that fails is redone one matrix at a time: a matrix with a
+    non-finite entry (which numpy refuses) fails alone, as NaN rows, and
+    the other matrices keep their bits."""
+    rng = np.random.default_rng(35)
+    A_F = stable_random_batch(rng, 4, 4)[0]
+    H = A_F.copy()
+    H[2, 0, 1] = np.inf
+    wr, wi = analysis._spectra(H)
+    assert np.isnan(wr[2]).all() and np.isnan(wi[2]).all()
+    kept = [0, 1, 3]
+    ref_wr, ref_wi = analysis.dgeev(A_F[kept])
+    assert wr[kept].tobytes() == ref_wr.tobytes() and wi[kept].tobytes() == ref_wi.tobytes()
+    with pytest.raises(EigenSolveError):
+        analysis._real_eig(H[2])
+
+
+def test_hinf_norms_nonfinite_hamiltonian_is_not_certified():
+    # finite A_F and C_F whose C'C overflows: the Hamiltonian has -inf entries
+    A_F, C_F, B1, D11 = stable_random_batch(np.random.default_rng(36), 3, 3)
+    C_F[1] *= 1e160
+    with np.errstate(over="ignore"):
+        batch = hinf_norms(A_F, C_F, B1, D11)
+    assert isinstance(batch[1], EigenSolveError)
+    kept = [0, 2]
+    assert repr([batch[r] for r in kept]) == repr(_alone(A_F[kept], C_F[kept], B1, D11))
+
+
+def test_import_loads_no_scipy():
+    """The package needs numpy alone: importing it, its command line and its
+    campaigns loads no scipy module."""
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, sofsyn, sofsyn.cli, sofsyn.campaign; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """The campaign process pool: what comes back through ``campaign.solve``,
 the worker cap, and clean-up. No test starts more than two workers."""
 
+import json
 import math
 import multiprocessing
 import os
+import signal
 import threading
+import time
 
 import pytest
 
 from sofsyn import builtin_plant_path, campaign, driver
 from sofsyn.campaign import CampaignSpec, run_campaign
+from sofsyn.cli import main
 from sofsyn.driver import SolverConfig
 from sofsyn.errors import ConfigError, EigenSolveError
 from sofsyn.objectives import ObjectiveKind
@@ -122,3 +126,75 @@ def test_one_worker_runs_serially(cpus, runs, monkeypatch):
     spec = CampaignSpec(problems=PLANTS[:1], config=SolverConfig(t_max=100, threads=2), runs=runs)
     rows, _ = run_campaign(spec)
     assert len(rows) == runs
+
+
+def _rows_without_wall_times(path):
+    doc = json.loads(path.read_text())
+    for rec in doc["rows"]:
+        rec.pop("wall_time_s")
+    for rec in doc["summary"]:
+        rec.pop("mean_wall_time_s")
+    return doc
+
+
+def test_killed_worker_is_retried_and_bench_writes_every_row(tmp_path, two_cpus, monkeypatch):
+    """SIGKILL one worker of a running ``bench --threads 2``: the jobs in
+    flight run again, bench exits 0 and writes every row, and the rows are
+    those of ``--threads 1``."""
+    entered = threading.Event()
+    handed_over, run_row = campaign.solve, campaign._run_row
+    monkeypatch.setattr(
+        campaign, "solve", lambda *a, **k: entered.set() or handed_over(*a, **k))
+    attempts = []
+    monkeypatch.setattr(campaign, "_run_row", lambda *a: attempts.append(1) or run_row(*a))
+
+    def kill_one_worker():
+        # a rand4 solve at this budget takes about half a second
+        entered.wait(60)
+        time.sleep(0.2)
+        os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+
+    args = [
+        "bench", "--problem", builtin_plant_path("rand4"),
+        "--problem", builtin_plant_path("double_integrator"),
+        "--runs", "2", "--budget", "300", "--format", "json",
+    ]
+    threads_before = threading.active_count()
+    killer = threading.Thread(target=kill_one_worker)
+    killer.start()
+    pooled = tmp_path / "pooled.json"
+    code = main(args + ["--threads", "2", "--out", str(pooled)])
+    killer.join(60)
+    assert not killer.is_alive() and code == 0
+    assert len(attempts) > 4  # the pool broke and jobs in flight ran again
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads_before
+    serial = tmp_path / "serial.json"
+    assert main(args + ["--threads", "1", "--out", str(serial)]) == 0
+    assert _rows_without_wall_times(pooled) == _rows_without_wall_times(serial)
+
+
+def test_job_that_breaks_its_pool_twice_is_a_failed_row(two_cpus, monkeypatch):
+    """A job whose worker dies on every try is retried once, alone, and then
+    recorded as unsuccessful; the job in flight beside it and the jobs not
+    yet started keep their rows."""
+    serial, _ = run_campaign(hinf_spec(threads=1))
+    parent, real_solve = os.getpid(), campaign._driver_solve
+
+    def dying_on_one_run(plant, config, progress=None):
+        if plant.name == "rand4" and config.seed == 8 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_solve(plant, config, progress)
+
+    monkeypatch.setattr(campaign, "_driver_solve", dying_on_one_run)
+    rows, sums = run_campaign(hinf_spec())
+    failed = rows[3]
+    assert (failed.problem, failed.seed, failed.feasible) == ("rand4", 8, False)
+    assert math.isinf(failed.objective) and failed.global_evals == 0
+    assert [fingerprint_row(r) for r in rows[:3]] == [fingerprint_row(r) for r in serial[:3]]
+    assert sums[1].success_count == 1
+    assert multiprocessing.active_children() == []
+
+
+def fingerprint_row(row):
+    return {k: v for k, v in vars(row).items() if k != "wall_time_s"}

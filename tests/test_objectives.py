@@ -383,9 +383,10 @@ def test_floor_below_the_penalty_is_ignored_beside_a_usable_one(monkeypatch):
 
 
 def test_evaluate_batch_eigensolves_once_per_loop_and_per_round(monkeypatch):
-    """A batch makes one dgeev call per finite row, for its stability
-    verdict, and one per Hamiltonian round of each stable H-infinity row:
-    sum(1 + iterations) over the stable rows."""
+    """A batch eigensolves each finite row once, for its stability
+    verdict, and each Hamiltonian round of each stable H-infinity row once:
+    sum(1 + iterations) matrices over the stable rows. Each stack is one
+    dgeev call: one for the stability verdicts and one per round."""
     import dataclasses
 
     from sofsyn import analysis
@@ -400,7 +401,7 @@ def test_evaluate_batch_eigensolves_once_per_loop_and_per_round(monkeypatch):
     cfg = FitnessConfig(beta=1e-3)
     solves, results = [], []
     dgeev, hinf_norms = analysis.dgeev, objectives.hinf_norms
-    monkeypatch.setattr(analysis, "dgeev", lambda *a, **k: solves.append(1) or dgeev(*a, **k))
+    monkeypatch.setattr(analysis, "dgeev", lambda M: solves.append(len(M)) or dgeev(M))
 
     def recording(*args, **kwargs):
         results.extend(hinf_norms(*args, **kwargs))
@@ -414,7 +415,47 @@ def test_evaluate_batch_eigensolves_once_per_loop_and_per_round(monkeypatch):
         evals = evaluate_batch(plant, X, ObjectiveKind.HINF_NORM, cfg, floors)
         stable = sum(ev.feasible for ev in evals)
         assert 5 <= stable < len(X) - 1 and len(results) == stable
-        assert len(solves) == (len(X) - stable - 1) + sum(1 + r.iterations for r in results)
+        assert sum(solves) == (len(X) - stable - 1) + sum(1 + r.iterations for r in results)
+        assert len(solves) == 1 + max(r.iterations for r in results)
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_failing_stability_eigensolve_penalizes_only_its_row(kind, monkeypatch):
+    """A stability eigensolve that fails inside the batch's stack makes its
+    row penalized and infeasible instead of ending the batch; the stack is
+    redone row by row, so every other row keeps the bits it has alone."""
+    import dataclasses
+
+    from sofsyn import analysis
+    from test_model import random_plant
+
+    rng = np.random.default_rng(32)
+    plant = random_plant(rng, n_x=5, n_u=2, n_y=3)
+    plant = dataclasses.replace(plant, A=plant.A - (spectral_abscissa(plant.A) + 0.5) * np.eye(5))
+    X = rng.standard_normal((12, plant.dims.n)) * 10.0 ** rng.uniform(-2, 0.5, (12, 1))
+    cfg = FitnessConfig(beta=1e-3)
+    dgeev = analysis.dgeev
+    stacks = []
+    monkeypatch.setattr(analysis, "dgeev", lambda M: stacks.append(M) or dgeev(M))
+    exact = evaluate_batch(plant, X, kind, cfg)
+    assert 3 <= sum(ev.feasible for ev in exact) < len(X)
+    bad = 4
+    target = stacks[0][bad]
+
+    def failing(M):
+        if any(np.array_equal(A, target) for A in M):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return dgeev(M)
+
+    monkeypatch.setattr(analysis, "dgeev", failing)
+    batch = evaluate_batch(plant, X, kind, cfg)
+    penalized = Evaluation(-cfg.infeasible_penalty, math.inf, gain_norm(X[bad]), False)
+    assert _same_bits(batch[bad], penalized)
+    assert _same_bits(evaluate(plant, X[bad], kind, cfg), penalized)
+    for i, (row, alone) in enumerate(zip(X, exact)):
+        if i != bad:
+            assert _same_bits(batch[i], alone)
+            assert _same_bits(evaluate(plant, row, kind, cfg), alone)
 
 
 def test_stable_row_with_overflowing_performance_output_scores_the_penalty():
