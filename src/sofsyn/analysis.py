@@ -269,26 +269,22 @@ def _hamiltonians(A, C, B1, D11):
     return build
 
 
-def _peaks(A_F, C_F, B1, D11, rows, W: np.ndarray) -> list:
+def _peaks(A_F, C_F, B1, D11, rows, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row j of W, the largest gain of loop rows[j] over the finite
-    entries of W[j] (ascending, inf-padded) and the frequency np.argmax
-    picks for it; (-inf, inf) if there is none. A repeated frequency has
-    the same gain, so the result is that of the row's np.unique."""
-    j, col = (W < np.inf).nonzero()
-    peaks = [(-np.inf, np.inf)] * len(W)
-    if not j.size:
-        return peaks
-    loops = rows[j]
-    w = W[j, col]
-    gains = _max_gains(A_F[loops], C_F[loops], B1, D11, w)
-    for i, g, f in zip(j.tolist(), gains.tolist(), w.tolist()):
-        best = peaks[i][0]
-        # np.argmax order: the first NaN, else the first maximum
-        if g > best or g != g and best == best:
-            peaks[i] = (g, f)
-    return peaks
+    entries of W[j] and the frequency np.argmax picks for it (the first
+    NaN, else the first maximum); (-inf, inf) if there is none. A repeated
+    frequency has the same gain, so the result is that of the row's np.unique."""
+    finite = W < np.inf
+    loops = rows[finite.nonzero()[0]]
+    G = np.full(W.shape, -np.inf)
+    if loops.size:
+        G[finite] = _max_gains(A_F[loops], C_F[loops], B1, D11, W[finite])
+    k = G.argmax(axis=1)
+    every = np.arange(len(W))
+    return G[every, k], W[every, k]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) -> list:
     """H-infinity norms of the loops (A_F[r], B1, C_F[r], D11), which share
     B1 and D11, by the level-set iteration on the Hamiltonian test.
@@ -301,19 +297,22 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
     and at their midpoints. A row stops when no crossing remains, which
     certifies its norm within [value, (1 + rel_tol) * value], or when the
     crossings raise no gain above the bound, which makes them rounding
-    error rather than gain. The rows run in lockstep: each stage, the
+    error rather than gain. The rows run in lockstep on array state (the
+    bounds, peak frequencies and live rows are arrays): each stage, the
     eigensolves included, is one stacked call over the rows still
     iterating (one :func:`dgeev` call per round), and every row gets the
-    bits it would get alone.
+    bits it would get alone. Overflow in a row's Hamiltonian or gains
+    raises no numpy warning; the row fails as below.
 
     ``poles`` is the pair (real parts, imaginary parts) of the eigenvalues
     of A_F, stacked as :func:`dgeev` returns them, for callers that already
-    hold it; the results do not depend on it. ``stop`` is an optional predicate on the array of all
-    rows' lower bounds that returns a mask of rows to stop; it is heeded
-    for the rows just probed or raised, after the pole probes and after
-    each round. A stopped row returns its bound as ``value``: a gain
-    attained at ``peak_frequency``, but possibly below the norm by more
-    than ``rel_tol``, with ``iterations`` 0 if it stops at the probe bound.
+    hold it; the results do not depend on it. ``stop`` is an optional
+    predicate on the array of all rows' lower bounds that returns a mask of
+    rows to stop; it is heeded for the rows just probed or raised, after
+    the pole probes and after each round. A stopped row returns its bound as
+    ``value``: a gain attained at ``peak_frequency``, but possibly below
+    the norm by more than ``rel_tol``, with ``iterations`` 0 if it stops at
+    the probe bound.
 
     Returns, per row, its :class:`HinfResult` or the error it would raise
     alone: :class:`NonFiniteEntryError` if A_F[r] or C_F[r] has a
@@ -325,95 +324,79 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
     results = [None] * len(A_F)
-    lo = [0.0] * len(A_F)
-    peak = [0.0] * len(A_F)
+    lo = np.zeros(len(A_F))
+    peak = np.zeros(len(A_F))
+
+    def finish(done, iterations):
+        for r in done.tolist():
+            results[r] = HinfResult(float(lo[r]), float(peak[r]), iterations)
+
     finite = np.isfinite(A_F).all(axis=(1, 2)) & np.isfinite(C_F).all(axis=(1, 2))
     for r in np.flatnonzero(~finite).tolist():
         results[r] = NonFiniteEntryError("A_F or C_F contains non-finite entries")
-    act = np.flatnonzero(finite).tolist()
-    if not act:
-        return results
+    act = np.flatnonzero(finite)
     wr, wi = _spectra(A_F[act]) if poles is None else (poles[0][act], poles[1][act])
     abscissas = wr.max(axis=1)
-    for r, abscissa in zip(act, abscissas.tolist()):
+    for r, abscissa in zip(act.tolist(), abscissas.tolist()):
         if abscissa >= 0:
             results[r] = InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
         elif abscissa != abscissa:
             results[r] = EigenSolveError("dgeev failed to converge")
     stable = abscissas < 0
-    act, wr, wi = [r for r in act if results[r] is None], wr[stable], wi[stable]
-    if not act:
+    act, wr, wi = act[stable], wr[stable], wi[stable]
+    if not act.size:
         return results
-
-    def hold(iterations):
-        # finish the rows still iterating that the caller's predicate stops now
-        nonlocal act
-        if stop is None or not act:
-            return
-        held = stop(np.array(lo))
-        for r in act:
-            if held[r]:
-                results[r] = HinfResult(lo[r], peak[r], iterations)
-        act = [r for r in act if not held[r]]
 
     # one probe per conjugate pair of poles: its partner has the same |lam|
     probes = np.sort(np.where(wi >= 0, np.hypot(wr, wi), np.inf), axis=1)
     probes = np.concatenate((np.zeros((len(act), 1)), probes), axis=1)
     d_norm = float(np.linalg.svd(D11, compute_uv=False)[0]) if D11.any() else 0.0
-    for r, (gain, freq) in zip(act, _peaks(A_F, C_F, B1, D11, np.array(act), probes)):
-        lo[r], peak[r] = (gain, freq) if gain > d_norm else (d_norm, 0.0)
-        if lo[r] == 0.0:
-            # zero gain wherever sampled and no feedthrough: nothing to raise
-            results[r] = HinfResult(0.0, 0.0, 0)
-    act = [r for r in act if results[r] is None]
-    hold(0)
+    gain, freq = _peaks(A_F, C_F, B1, D11, act, probes)
+    raised = gain > d_norm
+    lo[act] = np.where(raised, gain, d_norm)
+    peak[act] = np.where(raised, freq, 0.0)
+    # zero gain wherever sampled and no feedthrough: nothing to raise
+    done = lo[act] == 0.0
+    if stop is not None:
+        done |= stop(lo)[act]
+    finish(act[done], 0)
+    act = act[~done]
 
-    build = _hamiltonians(A_F, C_F, B1, D11) if act else None
+    build = _hamiltonians(A_F, C_F, B1, D11) if act.size else None
     for iterations in range(1, 65):
-        if not act:
+        if not act.size:
             break
-        rows = np.array(act)
-        gammas = [(1.0 + rel_tol) * lo[r] for r in act]
-        H = build(rows, np.array([g * g for g in gammas])[:, None, None])
-        wr, wi = _spectra(H)
+        gammas = (1.0 + rel_tol) * lo[act]
+        wr, wi = _spectra(build(act, (gammas * gammas)[:, None, None]))
         failed = np.isnan(wr[:, 0])
         if failed.any():
-            for r in rows[failed].tolist():
+            for r in act[failed].tolist():
                 results[r] = EigenSolveError("dgeev failed to converge or met a non-finite entry")
-            rows, wr, wi = rows[~failed], wr[~failed], wi[~failed]
-        act = rows.tolist()
+            act, wr, wi = act[~failed], wr[~failed], wi[~failed]
         # one crossing per conjugate pair: its partner has the same |Im lam|
         on_axis = (np.abs(wr) <= IMAG_AXIS_RTOL * (1.0 + np.hypot(wr, wi))) & (wi >= 0)
         freqs = np.sort(np.where(on_axis, np.abs(wi), np.inf), axis=1)
         candidates = np.concatenate((freqs, 0.5 * (freqs[:, :-1] + freqs[:, 1:])), axis=1)
-        raised = []
+        gain, freq = _peaks(A_F, C_F, B1, D11, act, candidates)
         # a row without crossings gets gain -inf, so it finishes here too
-        for r, (gain, freq) in zip(act, _peaks(A_F, C_F, B1, D11, rows, candidates)):
-            if gain <= lo[r]:
-                results[r] = HinfResult(lo[r], peak[r], iterations)
-            else:
-                lo[r], peak[r] = gain, freq
-                raised.append(r)
-        act = raised
-        hold(iterations)
+        done = gain <= lo[act]
+        raised = act[~done]
+        lo[raised], peak[raised] = gain[~done], freq[~done]
+        if stop is not None and raised.size:
+            done |= stop(lo)[act]
+        finish(act[done], iterations)
+        act = act[~done]
 
-    for r in act:
+    for r, bound in zip(act.tolist(), lo[act].tolist()):
         results[r] = BracketError(
-            f"level-set iteration did not stop in 64 rounds (bound {lo[r]:.6g})"
+            f"level-set iteration did not stop in 64 rounds (bound {bound:.6g})"
         )
     return results
 
 
-def hinf_norm(
-    cl: ClosedLoopRealization, rel_tol: float = 1e-6, poles=None, stop=None
-) -> HinfResult:
+def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6) -> HinfResult:
     """H-infinity norm of one closed loop: the one-row case of
     :func:`hinf_norms`, which describes the iteration and the result.
-
-    ``poles`` is the ``_real_eig(A_F)`` pair for callers that already hold
-    it. ``stop`` is an optional predicate on the lower bound (a float),
-    checked after the pole probes and after each raise of the bound; once
-    it holds, the call returns that bound.
 
     Raises
     ------
@@ -425,9 +408,7 @@ def hinf_norm(
         If the iteration has not stopped after 64 rounds (pathological
         conditioning).
     """
-    one_stop = None if stop is None else lambda lo: np.array([bool(stop(float(lo[0])))])
-    poles = None if poles is None else (poles[0][None], poles[1][None])
-    [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, rel_tol, poles, one_stop)
+    [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, rel_tol)
     if isinstance(res, SofsynError):
         raise res
     return res

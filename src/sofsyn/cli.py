@@ -84,10 +84,12 @@ def _format_matrix(M: np.ndarray) -> str:
 
 def _check_out_dir(path: str) -> None:
     """Fail before a solve or campaign, not after it, when ``path`` cannot
-    be written for want of its directory."""
+    be written for want of its directory or because it is one."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output: {path} is a directory")
 
 
 def _write(write, *args) -> None:
@@ -140,7 +142,8 @@ def _cmd_bench(args) -> int:
         written = [args.out if args.out.endswith(".json") else args.out + ".json"]
     else:
         written = [args.out + "_rows.csv", args.out + "_summary.csv"]
-    _check_out_dir(written[0])  # all outputs share one directory
+    for path in written:
+        _check_out_dir(path)
     rows, summaries = run_campaign(spec)
     if args.format == "json":
         _write(write_campaign_json, rows, summaries, written[0])

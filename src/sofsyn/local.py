@@ -6,13 +6,14 @@ The step size follows a smoothed success rate toward the 2/11 target and
 the covariance adapts along the path of accepted steps, with the path
 update suppressed while the success rate is high (those steps carry
 little directional information). Several candidates refine in lockstep,
-so that each step scores all of their offspring in one batch.
+one array per state field with a row per candidate, so that each step
+scores all of their offspring in one batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,64 +65,61 @@ def default_local_params(n: int) -> LocalParams:
 
 @dataclass
 class LocalState:
-    """Refinement state of one candidate.
+    """Refinement state of m candidates, row i being candidate i.
 
-    ``cov`` is replaced, never modified in place: ``chol`` caches the
-    Cholesky factor of the array ``chol_of``, and is recomputed once
-    ``cov`` is no longer that array.
+    ``chol[i]`` is the Cholesky factor of ``cov[i]`` unless ``stale[i]``
+    is set, which marks a covariance changed since it was last factored.
     """
 
-    parent: np.ndarray
-    parent_fitness: float
-    sigma_loc: float
-    cov: np.ndarray
-    path_c: np.ndarray
-    success_rate: float
-    v_succ: int
-    best_alpha: np.ndarray
-    best_fitness: float
-    chol: np.ndarray | None = field(default=None, repr=False)
-    chol_of: np.ndarray | None = field(default=None, repr=False)
+    parent: np.ndarray  # (m, n)
+    parent_fitness: np.ndarray  # (m,)
+    sigma_loc: np.ndarray  # (m,)
+    cov: np.ndarray  # (m, n, n)
+    chol: np.ndarray  # (m, n, n)
+    stale: np.ndarray  # (m,) bool
+    path_c: np.ndarray  # (m, n)
+    success_rate: np.ndarray  # (m,)
+    v_succ: np.ndarray  # (m,) 0 or 1
 
 
-def init_local(alpha_parent, fitness_parent: float, global_sigma: float, n: int) -> LocalState:
-    """Fresh refinement state around one parent: identity covariance,
-    step size at a tenth of the global one, success rate at its target."""
+def init_local(parents, fitnesses, global_sigma: float) -> LocalState:
+    """Fresh refinement state around the rows of ``parents`` (m, n):
+    identity covariance, step size at a tenth of the global one, success
+    rate at its target."""
     if not global_sigma > 0:
         raise ValueError("global_sigma must be positive")
-    parent = np.array(alpha_parent, dtype=float)
-    if parent.shape != (n,):
-        raise ValueError(f"parent must be a vector of length {n}")
+    parent = np.array(parents, dtype=float)
+    m, n = parent.shape
     return LocalState(
         parent=parent,
-        parent_fitness=float(fitness_parent),
-        sigma_loc=global_sigma / 10.0,
-        cov=np.eye(n),
-        path_c=np.zeros(n),
-        success_rate=2.0 / 11.0,
-        v_succ=0,
-        best_alpha=parent.copy(),
-        best_fitness=float(fitness_parent),
+        parent_fitness=np.array(fitnesses, dtype=float).reshape(m),
+        sigma_loc=np.full(m, global_sigma / 10.0),
+        cov=np.tile(np.eye(n), (m, 1, 1)),
+        chol=np.empty((m, n, n)),
+        stale=np.ones(m, dtype=bool),
+        path_c=np.zeros((m, n)),
+        success_rate=np.full(m, 2.0 / 11.0),
+        v_succ=np.zeros(m, dtype=int),
     )
 
 
-def sample_offspring(
-    state: LocalState, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one offspring parent + sigma_loc * L xi with L the Cholesky
-    factor of the covariance; returns (offspring, perturbation L xi)."""
-    if state.chol_of is not state.cov:
+def sample_offspring(state: LocalState, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one offspring per row, parent + sigma_loc * L xi with L the
+    Cholesky factor of the row's covariance and ``xi`` (m, n) standard
+    normal; returns (offspring, perturbations L xi). Stale rows are
+    factored first, an unfactorable covariance being SPD-repaired once."""
+    for i in state.stale.nonzero()[0].tolist():
         for attempt in range(2):
             try:
-                state.chol = np.linalg.cholesky(state.cov)
+                state.chol[i] = np.linalg.cholesky(state.cov[i])
                 break
             except np.linalg.LinAlgError:
                 if attempt:
                     raise EigenSolveError("local covariance not factorizable after SPD repair")
-                state.cov = enforce_spd(state.cov)
-        state.chol_of = state.cov
-    eps = state.chol @ rng.standard_normal(state.parent.size)
-    return state.parent + state.sigma_loc * eps, eps
+                state.cov[i] = enforce_spd(state.cov[i])
+    state.stale[:] = False
+    eps = (state.chol @ xi[:, :, None])[:, :, 0]
+    return state.parent + state.sigma_loc[:, None] * eps, eps
 
 
 def update_success_and_sigma(state: LocalState, params: LocalParams) -> None:
@@ -129,15 +127,15 @@ def update_success_and_sigma(state: LocalState, params: LocalParams) -> None:
     size; exactly stationary when the rate sits at the target."""
     state.success_rate = (1.0 - params.c_p) * state.success_rate + params.c_p * state.v_succ
     ratio = params.p_target / (1.0 - params.p_target)
-    state.sigma_loc *= math.exp(
-        (1.0 / params.d) * (state.success_rate - ratio * (1.0 - state.success_rate))
-    )
+    exponent = (1.0 / params.d) * (state.success_rate - ratio * (1.0 - state.success_rate))
+    # math.exp per row: np.exp is not guaranteed to round to the same last bit
+    state.sigma_loc = state.sigma_loc * [math.exp(x) for x in exponent.tolist()]
 
 
 def accept_and_adapt(
     state: LocalState,
     offspring: np.ndarray,
-    offspring_fitness: float,
+    offspring_fitness: np.ndarray,
     eps: np.ndarray,
     params: LocalParams,
 ) -> None:
@@ -148,26 +146,28 @@ def accept_and_adapt(
     the threshold the step enters through the evolution path; above it the
     path only decays and the covariance update compensates the missing
     variance instead. Failures change nothing but the success indicator.
+    Since the parent only moves on a strict improvement, it is always the
+    best point its row has seen.
     """
-    if not offspring_fitness > state.parent_fitness:
-        state.v_succ = 0
+    offspring_fitness = np.asarray(offspring_fitness, dtype=float)
+    improved = offspring_fitness > state.parent_fitness
+    state.v_succ = improved.astype(int)
+    rows = improved.nonzero()[0]
+    if not rows.size:
         return
-    state.parent = offspring.copy()
-    state.parent_fitness = float(offspring_fitness)
-    if offspring_fitness > state.best_fitness:
-        state.best_alpha = offspring.copy()
-        state.best_fitness = float(offspring_fitness)
+    state.parent[rows] = offspring[rows]
+    state.parent_fitness[rows] = offspring_fitness[rows]
     c_cth, c_cov = params.c_cth, params.c_cov
-    if state.success_rate < params.p_threshold:
-        state.path_c = (1.0 - c_cth) * state.path_c + math.sqrt(c_cth * (2.0 - c_cth)) * eps
-        cov = (1.0 - c_cov) * state.cov + c_cov * np.outer(state.path_c, state.path_c)
-    else:
-        state.path_c = (1.0 - c_cth) * state.path_c
-        cov = (1.0 - c_cov) * state.cov + c_cov * (
-            np.outer(state.path_c, state.path_c) + c_cth * (2.0 - c_cth) * state.cov
-        )
-    state.cov = 0.5 * (cov + cov.T)
-    state.v_succ = 1
+    low = state.success_rate[rows] < params.p_threshold
+    path = (1.0 - c_cth) * state.path_c[rows]
+    path[low] += math.sqrt(c_cth * (2.0 - c_cth)) * eps[rows[low]]
+    cov = state.cov[rows]
+    outer = path[:, :, None] * path[:, None, :]
+    outer[~low] += c_cth * (2.0 - c_cth) * cov[~low]
+    cov = (1.0 - c_cov) * cov + c_cov * outer
+    state.path_c[rows] = path
+    state.cov[rows] = 0.5 * (cov + cov.transpose(0, 2, 1))
+    state.stale[rows] = True
 
 
 def run_local(
@@ -224,19 +224,14 @@ def run_local_batch(
         return []
     if params is None:
         params = default_local_params(n)
-    states = [init_local(a, fitness(s), global_sigma, n) for a, s in zip(alphas, scores)]
+    state = init_local(alphas, [fitness(s) for s in scores], global_sigma)
     best = list(scores)
-    for _ in range(budget):
-        steps = [sample_offspring(state, rng) for state, rng in zip(states, rngs)]
-        for state in states:
-            update_success_and_sigma(state, params)
-        new_scores = score_batch(
-            np.array([offspring for offspring, _ in steps]),
-            [state.best_fitness for state in states],
-        )
-        for i, (state, (offspring, eps), score) in enumerate(zip(states, steps, new_scores)):
-            value = fitness(score)
-            if value > state.best_fitness:
-                best[i] = score
-            accept_and_adapt(state, offspring, value, eps, params)
-    return [(state.best_alpha.copy(), score) for state, score in zip(states, best)]
+    xi = np.array([rng.standard_normal((budget, n)) for rng in rngs])
+    for t in range(budget):
+        offspring, eps = sample_offspring(state, xi[:, t])
+        update_success_and_sigma(state, params)
+        new_scores = score_batch(offspring, state.parent_fitness.tolist())
+        accept_and_adapt(state, offspring, [fitness(s) for s in new_scores], eps, params)
+        for i in state.v_succ.nonzero()[0].tolist():
+            best[i] = new_scores[i]
+    return list(zip(state.parent, best))

@@ -91,6 +91,16 @@ RESONANT = ClosedLoopRealization(
 RESONANT_PEAK = 1.0 / (2 * 0.05 * np.sqrt(1 - 0.05**2))
 
 
+def one_row(cl, rel_tol=1e-6, poles=None, stop=None):
+    """:func:`hinf_norms` of the one loop ``cl``: its result or error, with
+    ``poles`` the ``_real_eig(A_F)`` pair and ``stop`` a predicate on the
+    loop's lower bound (a float)."""
+    poles = None if poles is None else (poles[0][None], poles[1][None])
+    one_stop = None if stop is None else lambda lo: np.array([bool(stop(float(lo[0])))])
+    [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, rel_tol, poles, one_stop)
+    return res
+
+
 # ---------------------------------------------------------------------------
 # spectral abscissa
 
@@ -342,8 +352,7 @@ def test_hinf_round_cap_raises_bracket_error(monkeypatch):
     monkeypatch.setattr(
         analysis, "_max_gains", lambda A_F, C_F, B1, D11, w: np.full(w.size, next(rises), float)
     )
-    with pytest.raises(BracketError):
-        hinf_norm(FIRST_ORDER_LAG, poles=poles)
+    assert isinstance(one_row(FIRST_ORDER_LAG, poles=poles), BracketError)
     assert next(rises) == 66  # the probe call plus 64 rounds
 
 
@@ -358,7 +367,7 @@ def test_hinf_given_poles_change_no_bit():
     rng = np.random.default_rng(23)
     for k in range(20):
         cl = stable_random_loop(rng, 2 + k % 7, feedthrough=(0.0, 0.3)[k % 2])
-        assert hinf_norm(cl, 1e-6, poles=analysis._real_eig(cl.A_F)) == hinf_norm(cl, 1e-6)
+        assert one_row(cl, 1e-6, poles=analysis._real_eig(cl.A_F)) == hinf_norm(cl, 1e-6)
 
 
 def test_hinf_stop_returns_an_attained_lower_bound():
@@ -370,12 +379,12 @@ def test_hinf_stop_returns_an_attained_lower_bound():
     for k in range(15):
         cl = stable_random_loop(rng, 2 + k % 5, feedthrough=(0.0, 0.3, 3.0)[k % 3])
         full = hinf_norm(cl)
-        assert hinf_norm(cl, stop=lambda lo: False) == full
-        assert hinf_norm(cl, stop=lambda lo: True).iterations == 0
+        assert one_row(cl, stop=lambda lo: False) == full
+        assert one_row(cl, stop=lambda lo: True).iterations == 0
         d_norm = np.linalg.svd(cl.D11, compute_uv=False)[0]
         for fraction in (0.0, 0.5, 0.9, 0.999, 1.0):
             seen = []
-            res = hinf_norm(cl, stop=lambda lo: seen.append(lo) or lo >= fraction * full.value)
+            res = one_row(cl, stop=lambda lo: seen.append(lo) or lo >= fraction * full.value)
             assert seen == sorted(seen) and seen[-1] == res.value
             assert fraction * full.value <= res.value <= full.value
             gain = np.linalg.svd(freq_response(cl, res.peak_frequency), compute_uv=False)[0]
@@ -403,7 +412,7 @@ def test_hinf_zero_feedthrough_skips_its_svd(monkeypatch):
             m.setattr(np.linalg, "svd", counting)
             res = hinf_norm(cl, 1e-6)
         assert sum(matrix_svds) == (1 if k % 2 else 0)
-        assert res == hinf_norm(cl, 1e-6, poles=poles)
+        assert res == one_row(cl, 1e-6, poles=poles)
     zero_gain = ClosedLoopRealization(A_F=[[-1.0]], B1=[[1.0]], C_F=[[0.0]], D11=[[0.0]])
     assert hinf_norm(zero_gain) == HinfResult(value=0.0, peak_frequency=0.0, iterations=0)
 
@@ -506,7 +515,7 @@ def test_hinf_norms_rows_match_hinf_norm_alone():
         batch = hinf_norms(A_F, C_F, B1, D11, 1e-6, poles, stop=lambda lo: lo >= limits)
         for A, C, limit, exact, res in zip(A_F, C_F, limits, full, batch):
             cl = ClosedLoopRealization(A, B1, C, D11)
-            assert repr(res) == repr(hinf_norm(cl, stop=lambda lo: lo >= limit))
+            assert repr(res) == repr(one_row(cl, stop=lambda lo: lo >= limit))
             assert repr(res) == repr(reference_hinf_norm(cl, stop=lambda lo: lo >= limit))
             stopped += res.iterations < exact.iterations
             certified += repr(res) == repr(exact)
@@ -635,8 +644,7 @@ def test_hinf_norms_nonfinite_hamiltonian_is_not_certified():
     # finite A_F and C_F whose C'C overflows: the Hamiltonian has -inf entries
     A_F, C_F, B1, D11 = stable_random_batch(np.random.default_rng(36), 3, 3)
     C_F[1] *= 1e160
-    with np.errstate(over="ignore"):
-        batch = hinf_norms(A_F, C_F, B1, D11)
+    batch = hinf_norms(A_F, C_F, B1, D11)
     assert isinstance(batch[1], EigenSolveError)
     kept = [0, 2]
     assert repr([batch[r] for r in kept]) == repr(_alone(A_F[kept], C_F[kept], B1, D11))

@@ -469,6 +469,30 @@ def test_cli_missing_out_dir_exit_2_before_solving(command, tmp_path, capsys, mo
     assert "error: output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, taken", [
+    (["solve", "--out"], "out.json"),
+    (["bench", "--format", "csv", "--out"], "out_rows.csv"),
+    (["bench", "--format", "csv", "--out"], "out_summary.csv"),
+    (["bench", "--format", "json", "--out"], "out.json"),
+], ids=["solve", "bench-csv-rows", "bench-csv-summary", "bench-json"])
+def test_cli_out_naming_a_directory_exit_2_before_solving(
+    command, taken, tmp_path, capsys, monkeypatch
+):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(cli, "solve", not_reached)
+    monkeypatch.setattr(cli, "run_campaign", not_reached)
+    (tmp_path / taken).mkdir()
+    out = tmp_path / ("out" if "csv" in command else "out.json")
+    code = main(command[:1] + ["--problem", builtin_plant_path("double_integrator")]
+                + command[1:] + [str(out)])
+    assert code == 2
+    assert f"error: cannot write output: {tmp_path / taken} is a directory" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("command", [["solve"], ["bench", "--format", "json"]])
 def test_cli_unwritable_out_exit_2(command, tmp_path, capsys):
     out = tmp_path / "taken.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -470,3 +471,16 @@ def test_stable_row_with_overflowing_performance_output_scores_the_penalty():
     batch = evaluate_batch(plant, np.array([[-1e10], [0.0], [-1e10]]), kind)
     assert _same_bits(batch[0], expected) and _same_bits(batch[2], expected)
     assert not batch[1].feasible and batch[1].fitness < -1e5
+
+
+def test_stable_row_with_overflowing_hamiltonian_scores_the_penalty_silently():
+    # f = 0.5 leaves A_F = -0.5 and C_F = 5e159 finite, but C_F' C_F in the
+    # Hamiltonian overflows: the norm fails, and numpy warns about nothing
+    plant = PlantRealization(
+        A=[[-1.0]], B1=[[1.0]], B=[[1.0]], C1=[[1.0]], D11=[[0.0]], D12=[[1e160]], C=[[1.0]],
+        name="hamiltonian_overflow",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = evaluate(plant, np.array([0.5]), ObjectiveKind.HINF_NORM)
+    assert _same_bits(ev, Evaluation(-100000.0, math.inf, 0.5, False))
