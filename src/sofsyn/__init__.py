@@ -35,7 +35,6 @@ from .objectives import (
     ObjectiveKind,
     PenaltyMode,
     evaluate,
-    feasibility,
     gain_norm,
 )
 from .problem_io import load_problem, save_problem
@@ -67,7 +66,6 @@ __all__ = [
     "FitnessConfig",
     "Evaluation",
     "gain_norm",
-    "feasibility",
     "evaluate",
     "SolverConfig",
     "GenerationRecord",

@@ -48,6 +48,9 @@ __all__ = [
 #: Default margin below zero required of the abscissa for "Hurwitz".
 STABILITY_TOL = 1e-9
 
+#: Relative accuracy of :func:`hinf_norm`: the norm lies in [value, (1 + this) * value].
+NORM_REL_TOL = 1e-6
+
 #: An eigenvalue lam counts as purely imaginary when |Re lam| <= this * (1 + |lam|).
 IMAG_AXIS_RTOL = 1e-7
 
@@ -68,7 +71,7 @@ class HinfResult:
     ----------
     value : float
         A gain the loop attains: sigma_max(D11), or sigma_max(G(jw)) at
-        ``peak_frequency``. The norm lies in [value, (1 + rel_tol) * value].
+        ``peak_frequency``. The norm lies in [value, (1 + NORM_REL_TOL) * value].
     peak_frequency : float
         Frequency (rad/s, >= 0) at which ``value`` is attained; 0 when
         sigma_max(D11) is the bound.
@@ -149,12 +152,21 @@ def freq_response(cl: ClosedLoopRealization, omega: float) -> np.ndarray:
 def _max_gains(A_F, C_F, B1, D11, omegas) -> np.ndarray:
     """Largest singular value of G(jw) = C_F (jw I - A_F)^-1 B1 + D11 at each
     frequency; ``A_F`` and ``C_F`` are one realization for all frequencies or
-    stacked with one realization per frequency."""
+    stacked with one realization per frequency. If the stacked call fails (a
+    resolvent singular in floating point, or an SVD that meets a NaN), it is
+    redone one frequency at a time, so only the frequencies that fail alone
+    fail: their gains are NaN."""
     omegas = np.asarray(omegas, dtype=float)
     M = 1j * omegas[:, None, None] * np.eye(A_F.shape[-1]) - A_F
-    # B1 as a stack of one matrix: numpy < 2 reads a 2-d b as stacked vectors
-    G = C_F @ np.linalg.solve(M, B1.astype(complex)[None]) + D11
-    return np.linalg.svd(G, compute_uv=False)[..., 0]
+    try:
+        # B1 as a stack of one matrix: numpy < 2 reads a 2-d b as stacked vectors
+        G = C_F @ np.linalg.solve(M, B1.astype(complex)[None]) + D11
+        return np.linalg.svd(G, compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.full(1, np.nan)
+        A, C = (np.broadcast_to(X, M.shape[:1] + X.shape[-2:]) for X in (A_F, C_F))
+        return np.concatenate([_max_gains(a, c, B1, D11, [w]) for a, c, w in zip(A, C, omegas)])
 
 
 @dataclass(frozen=True)
@@ -209,14 +221,19 @@ def hinf_norm_grid(cl: ClosedLoopRealization, grid: FrequencyGrid = DEFAULT_GRID
     ------
     InstabilityError
         If A_F is not Hurwitz (abscissa >= 0).
+    SingularResolventError
+        If the gain at a grid frequency cannot be computed (its resolvent
+        is singular in floating point, or the gain is not a number).
     """
     abscissa = spectral_abscissa(cl.A_F)
     if abscissa >= 0:
         raise InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
     omegas = grid.frequencies()
     gains = _max_gains(cl.A_F, cl.C_F, cl.B1, cl.D11, omegas)
-    k = int(np.argmax(gains))
+    k = int(np.argmax(gains))  # the first NaN, if there is one
     best = float(gains[k])
+    if best != best:
+        raise SingularResolventError(f"the gain at omega={omegas[k]!r} cannot be computed")
     a = omegas[k - 1] if k > 0 else omegas[k]
     b = omegas[k + 1] if k + 1 < omegas.size else omegas[k]
     if b > a:
@@ -285,18 +302,21 @@ def _peaks(A_F, C_F, B1, D11, rows, W: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) -> list:
-    """H-infinity norms of the loops (A_F[r], B1, C_F[r], D11), which share
-    B1 and D11, by the level-set iteration on the Hamiltonian test.
+def hinf_norms(A_F, C_F, B1, D11, poles, stop=None) -> list:
+    """H-infinity norms of the stable loops (A_F[r], B1, C_F[r], D11), which
+    share B1 and D11, by the level-set iteration on the Hamiltonian test.
+    ``A_F`` is finite and Hurwitz row by row, and ``poles`` is the pair
+    (real parts, imaginary parts) of its eigenvalues, stacked as
+    :func:`dgeev` returns them.
 
     A row's lower bound starts at the largest of sigma_max(D11), the gain
     at w = 0 and the gain at w = |lam| for each pole lam of A_F[r]. Each
     round takes the imaginary-axis eigenvalues of the row's Hamiltonian at
-    gamma = (1 + rel_tol) * bound (Boyd-Balakrishnan / Bruinsma-Steinbuch)
+    gamma = (1 + NORM_REL_TOL) * bound (Boyd-Balakrishnan / Bruinsma-Steinbuch)
     and raises the bound to the largest gain at those crossing frequencies
     and at their midpoints. A row stops when no crossing remains, which
-    certifies its norm within [value, (1 + rel_tol) * value], or when the
-    crossings raise no gain above the bound, which makes them rounding
+    certifies its norm within [value, (1 + NORM_REL_TOL) * value], or when
+    the crossings raise no gain above the bound, which makes them rounding
     error rather than gain. The rows run in lockstep on array state (the
     bounds, peak frequencies and live rows are arrays): each stage, the
     eigensolves included, is one stacked call over the rows still
@@ -304,48 +324,40 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
     bits it would get alone. Overflow in a row's Hamiltonian or gains
     raises no numpy warning; the row fails as below.
 
-    ``poles`` is the pair (real parts, imaginary parts) of the eigenvalues
-    of A_F, stacked as :func:`dgeev` returns them, for callers that already
-    hold it; the results do not depend on it. ``stop`` is an optional
-    predicate on the array of all rows' lower bounds that returns a mask of
-    rows to stop; it is heeded for the rows just probed or raised, after
-    the pole probes and after each round. A stopped row returns its bound as
-    ``value``: a gain attained at ``peak_frequency``, but possibly below
-    the norm by more than ``rel_tol``, with ``iterations`` 0 if it stops at
-    the probe bound.
+    ``stop`` is an optional predicate on the array of all rows' lower
+    bounds that returns a mask of rows to stop; it is heeded for the rows
+    just probed or raised, after the pole probes and after each round. A
+    stopped row returns its bound as ``value``: a gain attained at
+    ``peak_frequency``, but possibly below the norm by more than
+    ``NORM_REL_TOL``, with ``iterations`` 0 if it stops at the probe bound.
 
     Returns, per row, its :class:`HinfResult` or the error it would raise
-    alone: :class:`NonFiniteEntryError` if A_F[r] or C_F[r] has a
-    non-finite entry, :class:`InstabilityError` if A_F[r] is not Hurwitz,
+    alone: :class:`NonFiniteEntryError` if C_F[r] has a non-finite entry,
+    :class:`SingularResolventError` if a gain it needs is not a number (its
+    resolvent is singular in floating point, or the gain overflows),
     :class:`EigenSolveError` if one of its eigensolves fails to converge or
     its Hamiltonian has a non-finite entry (so it is never certified), or
     :class:`BracketError` if it has not stopped after 64 rounds.
     """
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
     results = [None] * len(A_F)
     lo = np.zeros(len(A_F))
     peak = np.zeros(len(A_F))
 
-    def finish(done, iterations):
-        for r in done.tolist():
+    def settle(act, done, gain, freq, iterations):
+        """Record the rows of ``act`` that are done or whose gain is NaN
+        (those fail); return the others."""
+        failed = np.isnan(gain)
+        for r, w in zip(act[failed].tolist(), freq[failed].tolist()):
+            results[r] = SingularResolventError(f"the gain at omega={w!r} cannot be computed")
+        for r in act[done & ~failed].tolist():
             results[r] = HinfResult(float(lo[r]), float(peak[r]), iterations)
+        return act[~(done | failed)]
 
-    finite = np.isfinite(A_F).all(axis=(1, 2)) & np.isfinite(C_F).all(axis=(1, 2))
+    finite = np.isfinite(C_F).all(axis=(1, 2))
     for r in np.flatnonzero(~finite).tolist():
-        results[r] = NonFiniteEntryError("A_F or C_F contains non-finite entries")
+        results[r] = NonFiniteEntryError("C_F contains non-finite entries")
     act = np.flatnonzero(finite)
-    wr, wi = _spectra(A_F[act]) if poles is None else (poles[0][act], poles[1][act])
-    abscissas = wr.max(axis=1)
-    for r, abscissa in zip(act.tolist(), abscissas.tolist()):
-        if abscissa >= 0:
-            results[r] = InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
-        elif abscissa != abscissa:
-            results[r] = EigenSolveError("dgeev failed to converge")
-    stable = abscissas < 0
-    act, wr, wi = act[stable], wr[stable], wi[stable]
-    if not act.size:
-        return results
+    wr, wi = poles[0][act], poles[1][act]
 
     # one probe per conjugate pair of poles: its partner has the same |lam|
     probes = np.sort(np.where(wi >= 0, np.hypot(wr, wi), np.inf), axis=1)
@@ -359,14 +371,13 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
     done = lo[act] == 0.0
     if stop is not None:
         done |= stop(lo)[act]
-    finish(act[done], 0)
-    act = act[~done]
+    act = settle(act, done, gain, freq, 0)
 
     build = _hamiltonians(A_F, C_F, B1, D11) if act.size else None
     for iterations in range(1, 65):
         if not act.size:
             break
-        gammas = (1.0 + rel_tol) * lo[act]
+        gammas = (1.0 + NORM_REL_TOL) * lo[act]
         wr, wi = _spectra(build(act, (gammas * gammas)[:, None, None]))
         failed = np.isnan(wr[:, 0])
         if failed.any():
@@ -379,13 +390,12 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
         candidates = np.concatenate((freqs, 0.5 * (freqs[:, :-1] + freqs[:, 1:])), axis=1)
         gain, freq = _peaks(A_F, C_F, B1, D11, act, candidates)
         # a row without crossings gets gain -inf, so it finishes here too
-        done = gain <= lo[act]
+        done = ~(gain > lo[act])
         raised = act[~done]
         lo[raised], peak[raised] = gain[~done], freq[~done]
         if stop is not None and raised.size:
             done |= stop(lo)[act]
-        finish(act[done], iterations)
-        act = act[~done]
+        act = settle(act, done, gain, freq, iterations)
 
     for r, bound in zip(act.tolist(), lo[act].tolist()):
         results[r] = BracketError(
@@ -394,7 +404,7 @@ def hinf_norms(A_F, C_F, B1, D11, rel_tol: float = 1e-6, poles=None, stop=None) 
     return results
 
 
-def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6) -> HinfResult:
+def hinf_norm(cl: ClosedLoopRealization) -> HinfResult:
     """H-infinity norm of one closed loop: the one-row case of
     :func:`hinf_norms`, which describes the iteration and the result.
 
@@ -404,11 +414,17 @@ def hinf_norm(cl: ClosedLoopRealization, rel_tol: float = 1e-6) -> HinfResult:
         If A_F is not Hurwitz.
     EigenSolveError
         If an eigensolve fails to converge or meets a non-finite entry.
+    SingularResolventError
+        If a gain the iteration needs cannot be computed.
     BracketError
         If the iteration has not stopped after 64 rounds (pathological
         conditioning).
     """
-    [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, rel_tol)
+    wr, wi = _real_eig(cl.A_F)
+    abscissa = float(wr.max())
+    if abscissa >= 0:
+        raise InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
+    [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, (wr[None], wi[None]))
     if isinstance(res, SofsynError):
         raise res
     return res

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EigenSolveError
+from .errors import EigenSolveError
 
 __all__ = [
     "CmaParams",
     "CmaState",
-    "ResetLimits",
     "default_params",
     "init_state",
     "refresh_basis",
@@ -32,6 +31,10 @@ __all__ = [
 
 #: Relative eigenvalue floor used by the SPD repair.
 EIG_FLOOR_REL = 1e-12
+
+#: Step-size bounds beyond which :func:`maybe_reset` re-seeds the state, and
+#: the step size it restarts from (inside the bounds).
+SIGMA_MIN, SIGMA_MAX, SIGMA_RESET = 1e-12, 1e7, 0.3
 
 
 @dataclass(frozen=True)
@@ -140,26 +143,6 @@ class CmaState:
     generation: int
     basis: np.ndarray
     sqrt_eigs: np.ndarray
-
-
-@dataclass(frozen=True)
-class ResetLimits:
-    """Step-size bounds beyond which the distribution state is re-seeded.
-
-    They must be finite with 0 < sigma_min <= sigma_reset <= sigma_max, so
-    that a reset puts the step size back inside its safe range.
-    """
-
-    sigma_min: float = 1e-12
-    sigma_max: float = 1e7
-    sigma_reset: float = 0.3
-
-    def __post_init__(self):
-        if not (0 < self.sigma_min <= self.sigma_reset <= self.sigma_max < math.inf):
-            raise ConfigError(
-                "reset limits must satisfy 0 < sigma_min <= sigma_reset <= sigma_max < inf,"
-                f" got {self}"
-            )
 
 
 def init_state(mean, sigma: float = 0.3) -> CmaState:
@@ -302,16 +285,12 @@ def _all_finite(state: CmaState) -> bool:
     )
 
 
-def maybe_reset(
-    state: CmaState,
-    limits: ResetLimits = ResetLimits(),
-    best_alpha: np.ndarray | None = None,
-) -> bool:
+def maybe_reset(state: CmaState, best_alpha: np.ndarray | None = None) -> bool:
     """Re-seed the distribution if the step size left its safe range or any
     state entry went non-finite. The mean restarts at the best candidate
     seen so far (when provided); the generation counter is preserved.
     Returns True iff a reset happened."""
-    healthy = _all_finite(state) and limits.sigma_min <= state.sigma <= limits.sigma_max
+    healthy = _all_finite(state) and SIGMA_MIN <= state.sigma <= SIGMA_MAX
     if healthy:
         return False
     n = state.mean.size
@@ -319,7 +298,7 @@ def maybe_reset(
         state.mean = np.array(best_alpha, dtype=float)
     elif not np.all(np.isfinite(state.mean)):
         state.mean = np.zeros(n)
-    state.sigma = limits.sigma_reset
+    state.sigma = SIGMA_RESET
     state.cov = np.eye(n)
     state.path_sigma = np.zeros(n)
     state.path_cov = np.zeros(n)

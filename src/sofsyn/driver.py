@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
+from . import analysis, objectives
 from .cma import (
     CmaParams,
-    ResetLimits,
     default_params,
     init_state,
     maybe_reset,
@@ -60,48 +60,41 @@ class SolverConfig:
     ``threads`` caps the worker processes of a campaign
     (:func:`sofsyn.campaign.run_campaign`) and changes no result; a single
     solve runs on the calling thread and ignores it.
+    The penalty, the stability margin and the accuracy of the norm are
+    fixed: the class attributes below read them and are not fields.
     """
+
+    infeasible_penalty: ClassVar[float] = objectives.INFEASIBLE_PENALTY
+    stability_tol: ClassVar[float] = analysis.STABILITY_TOL
+    norm_rel_tol: ClassVar[float] = analysis.NORM_REL_TOL
 
     objective: ObjectiveKind = ObjectiveKind.HINF_NORM
     t_max: int = 10000
     t_s: int = 10
     beta: float = 1e-10
-    infeasible_penalty: float = 1e5
     penalty_mode: PenaltyMode = PenaltyMode.GUIDED
-    stability_tol: float = 1e-9
-    norm_rel_tol: float = 1e-6
     seed: int = 0
     initial_mean: Optional[Sequence[float]] = None
     sigma0: float = 0.3
     local_search_enabled: bool = True
     charge_local_to_budget: bool = False
     threads: int = 1
-    reset_limits: ResetLimits = field(default_factory=ResetLimits)
 
     def __post_init__(self):
         if not self.t_max >= 1:
             raise ConfigError("t_max must be positive")
         if not self.t_s >= 1:
             raise ConfigError("t_s must be positive")
-        if not self.sigma0 > 0:
-            raise ConfigError("sigma0 must be positive")
+        if not 0 < self.sigma0 < math.inf:
+            raise ConfigError("sigma0 must be finite and positive")
         if not self.seed >= 0:
             raise ConfigError("seed must be nonnegative")
         if not self.threads >= 1:
             raise ConfigError("threads must be >= 1")
-        try:
-            self.fitness_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        self.fitness_config()
 
     def fitness_config(self) -> FitnessConfig:
-        return FitnessConfig(
-            beta=self.beta,
-            infeasible_penalty=self.infeasible_penalty,
-            penalty_mode=self.penalty_mode,
-            stability_tol=self.stability_tol,
-            norm_rel_tol=self.norm_rel_tol,
-        )
+        return FitnessConfig(beta=self.beta, penalty_mode=self.penalty_mode)
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,7 @@ def _run(
                 # degenerate update (overflowed covariance or step size): force a reset
                 state.sigma = math.inf
             state.generation += 1
-            maybe_reset(state, config.reset_limits, best_alpha)
+            maybe_reset(state, best_alpha)
             refresh_basis(state)
         generation += 1
 

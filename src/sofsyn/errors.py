@@ -22,7 +22,7 @@ class EigenSolveError(SofsynError, RuntimeError):
 
 
 class SingularResolventError(SofsynError, ValueError):
-    """jw*I - A is singular at the requested frequency."""
+    """jw*I - A is singular at the requested frequency, or the gain there is not a number."""
 
 
 class InstabilityError(SofsynError, ValueError):

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import STABILITY_TOL, HinfResult, _spectra, hinf_norms, is_hurwitz
+from .analysis import STABILITY_TOL, HinfResult, _spectra, hinf_norms
 from .analysis import hinf_norm  # noqa: F401  (a binding perfbench/tracing.py patches)
-from .errors import DimensionMismatchError
-from .model import PlantRealization, close_loop, unflatten_gain
+from .errors import ConfigError, DimensionMismatchError
+from .model import PlantRealization
+from .model import unflatten_gain  # noqa: F401  (a binding perfbench/tracing.py patches)
 
 __all__ = [
     "ObjectiveKind",
@@ -31,10 +32,12 @@ __all__ = [
     "FitnessConfig",
     "Evaluation",
     "gain_norm",
-    "feasibility",
     "evaluate",
     "evaluate_batch",
 ]
+
+#: Fitness of an unstable H-infinity candidate is at most -INFEASIBLE_PENALTY.
+INFEASIBLE_PENALTY = 1e5
 
 
 class ObjectiveKind(enum.Enum):
@@ -57,23 +60,15 @@ class PenaltyMode(enum.Enum):
 
 @dataclass(frozen=True)
 class FitnessConfig:
-    """Weights and tolerances entering the fitness."""
+    """The settable parts of the fitness: the weight of the gain norm and
+    the scoring of infeasible candidates."""
 
     beta: float = 1e-10
-    infeasible_penalty: float = 1e5
     penalty_mode: PenaltyMode = PenaltyMode.GUIDED
-    stability_tol: float = STABILITY_TOL
-    norm_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.beta >= 0:
-            raise ValueError("beta must be nonnegative")
-        if not self.infeasible_penalty > 0:
-            raise ValueError("infeasible_penalty must be positive")
-        if not self.stability_tol >= 0:
-            raise ValueError("stability_tol must be nonnegative")
-        if not self.norm_rel_tol > 0:
-            raise ValueError("norm_rel_tol must be positive")
+        if not 0 <= self.beta < math.inf:
+            raise ConfigError("beta must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -97,13 +92,6 @@ class Evaluation:
 def gain_norm(alpha) -> float:
     """Euclidean norm of the decision vector."""
     return float(np.linalg.norm(np.asarray(alpha, dtype=float)))
-
-
-def feasibility(plant: PlantRealization, alpha, tol: float = STABILITY_TOL) -> bool:
-    """True iff the closed loop under the gain encoded by ``alpha`` is Hurwitz."""
-    dims = plant.dims
-    F = unflatten_gain(alpha, dims.n_u, dims.n_y)
-    return is_hurwitz(close_loop(plant, F).A_F, tol).hurwitz
 
 
 def evaluate(
@@ -135,7 +123,7 @@ def evaluate_batch(
     needs no more to reject an offspring). Such a row's fitness is then an
     upper bound on its exact fitness and is itself at most the floor; rows
     whose exact fitness exceeds their floor score exactly as without one.
-    Floors below ``-cfg.infeasible_penalty`` are ignored, because a stable
+    Floors below ``-INFEASIBLE_PENALTY`` are ignored, because a stable
     row whose norm computation fails scores exactly that penalty."""
     X = np.asarray(X, dtype=float)
     dims = plant.dims
@@ -152,7 +140,7 @@ def evaluate_batch(
     finite = np.isfinite(X).all(axis=1) & np.isfinite(A_F).all(axis=(1, 2))
 
     def penalized(abscissa, norm_a):
-        fitness = -cfg.infeasible_penalty
+        fitness = -INFEASIBLE_PENALTY
         if cfg.penalty_mode is PenaltyMode.GUIDED:
             fitness -= max(0.0, abscissa)
         return Evaluation(fitness, math.inf, norm_a, False)
@@ -165,7 +153,7 @@ def evaluate_batch(
     wr, wi = _spectra(A_F[rows])
     stable = []
     for j, (i, abscissa) in enumerate(zip(rows.tolist(), wr.max(axis=1).tolist())):
-        feasible = abscissa < -cfg.stability_tol
+        feasible = abscissa < -STABILITY_TOL
         if abscissa != abscissa:
             # the stability eigensolve failed: no verdict, so infeasible
             evals[i] = penalized(0.0, norms[i])
@@ -184,13 +172,13 @@ def evaluate_batch(
     stop = None
     if floors is not None:
         floor = np.asarray(floors, dtype=float)[idx]
-        usable = floor >= -cfg.infeasible_penalty
+        usable = floor >= -INFEASIBLE_PENALTY
         if usable.any():
             norm = np.array(norms)[idx]
             # the fitness expression itself, so rounding cannot flip a decision
             stop = lambda lo: usable & (-(lo + cfg.beta * norm) <= floor)  # noqa: E731
     poles = (wr[stable], wi[stable])
-    results = hinf_norms(A_F[idx], C_F, plant.B1, plant.D11, cfg.norm_rel_tol, poles, stop)
+    results = hinf_norms(A_F[idx], C_F, plant.B1, plant.D11, poles, stop)
     for i, res in zip(idx.tolist(), results):
         if isinstance(res, HinfResult):
             evals[i] = Evaluation(-(res.value + cfg.beta * norms[i]), res.value, norms[i], True)

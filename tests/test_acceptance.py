@@ -17,7 +17,7 @@ from sofsyn import builtin_plant_path, load_problem
 from sofsyn.analysis import hinf_norm, hinf_norm_grid, spectral_abscissa
 from sofsyn.cma import (
     EIG_FLOOR_REL,
-    ResetLimits,
+    SIGMA_MAX,
     default_params,
     init_state,
     maybe_reset,
@@ -38,7 +38,13 @@ from sofsyn.local import (
     update_success_and_sigma,
 )
 from sofsyn.model import ClosedLoopRealization
-from sofsyn.objectives import FitnessConfig, ObjectiveKind, PenaltyMode, evaluate
+from sofsyn.objectives import (
+    INFEASIBLE_PENALTY,
+    FitnessConfig,
+    ObjectiveKind,
+    PenaltyMode,
+    evaluate,
+)
 
 from test_analysis import abscissa_oracle, stable_random_loop
 from test_cma import hand_params
@@ -213,7 +219,6 @@ def test_criterion_invariant_suites():
     n = 4
     params = default_params(n)
     state = init_state(np.zeros(n), 0.3)
-    limits = ResetLimits()
     eps = np.finfo(float).eps
     for _ in range(1000):
         cands = sample_population(state, params, rng)
@@ -225,13 +230,13 @@ def test_criterion_invariant_suites():
         state.mean, state.path_sigma, state.path_cov = new_mean, p_sigma, p_cov
         state.cov, state.sigma = cov, sigma
         state.generation += 1
-        maybe_reset(state, limits, state.mean)
+        maybe_reset(state, state.mean)
         refresh_basis(state)
         assert np.max(np.abs(state.cov - state.cov.T)) <= 1e-12
         eigs = np.linalg.eigvalsh(state.cov)
         scale = max(eigs.max(), 1.0)
         assert eigs.min() >= EIG_FLOOR_REL * scale - 16 * eps * scale
-        assert 0.0 < state.sigma <= limits.sigma_max
+        assert 0.0 < state.sigma <= SIGMA_MAX
 
     # --- (1+1) elitism stress on a rugged fitness
     rng = np.random.default_rng(4343)
@@ -260,7 +265,7 @@ def test_criterion_invariant_suites():
     for _ in range(1000):
         ev = evaluate(di, rng.standard_normal(2) * 3.0, ObjectiveKind.HINF_NORM, cfg)
         if ev.feasible:
-            if ev.objective + cfg.beta * ev.gain_norm < cfg.infeasible_penalty:
+            if ev.objective + cfg.beta * ev.gain_norm < INFEASIBLE_PENALTY:
                 feasible_fits.append(ev.fitness)
         else:
             infeasible_fits.append(ev.fitness)

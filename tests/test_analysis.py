@@ -8,6 +8,7 @@ import pytest
 
 from sofsyn import analysis
 from sofsyn.analysis import (
+    NORM_REL_TOL,
     FrequencyGrid,
     HinfResult,
     freq_response,
@@ -91,13 +92,13 @@ RESONANT = ClosedLoopRealization(
 RESONANT_PEAK = 1.0 / (2 * 0.05 * np.sqrt(1 - 0.05**2))
 
 
-def one_row(cl, rel_tol=1e-6, poles=None, stop=None):
-    """:func:`hinf_norms` of the one loop ``cl``: its result or error, with
-    ``poles`` the ``_real_eig(A_F)`` pair and ``stop`` a predicate on the
-    loop's lower bound (a float)."""
-    poles = None if poles is None else (poles[0][None], poles[1][None])
+def one_row(cl, stop=None, poles=None):
+    """:func:`hinf_norms` of the one stable loop ``cl``: its result or error,
+    with ``stop`` a predicate on the loop's lower bound (a float) and
+    ``poles`` the ``_real_eig(A_F)`` pair (computed if not given)."""
+    wr, wi = analysis._real_eig(cl.A_F) if poles is None else poles
     one_stop = None if stop is None else lambda lo: np.array([bool(stop(float(lo[0])))])
-    [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, rel_tol, poles, one_stop)
+    [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, (wr[None], wi[None]), one_stop)
     return res
 
 
@@ -309,8 +310,7 @@ def test_hinf_lightly_damped_closed_form(zeta, omega0):
         D11=[[0.0]],
     )
     exact = 1.0 / (2 * zeta * np.sqrt(1 - zeta**2))
-    rel_tol = 1e-6
-    assert abs(hinf_norm(cl, rel_tol).value - exact) <= rel_tol * exact
+    assert abs(hinf_norm(cl).value - exact) <= NORM_REL_TOL * exact
 
 
 @pytest.mark.parametrize("feedthrough", [0.0, 0.3])
@@ -319,11 +319,10 @@ def test_hinf_near_marginal_agrees_with_fine_grid(feedthrough):
     # on-axis test counts as crossings at every gamma
     fine = FrequencyGrid(omega_min=1e-5, omega_max=1e5, points_per_decade=2000)
     rng = np.random.default_rng(17)
-    rel_tol = 1e-6
     for k in range(10):
         cl = stable_random_loop(rng, 2 + k % 5, margin=1e-7, feedthrough=feedthrough)
-        value = hinf_norm(cl, rel_tol).value
-        assert abs(value - hinf_norm_grid(cl, fine)) <= rel_tol * value, f"loop {k}"
+        value = hinf_norm(cl).value
+        assert abs(value - hinf_norm_grid(cl, fine)) <= NORM_REL_TOL * value, f"loop {k}"
 
 
 def test_hinf_value_is_attained_at_peak_frequency():
@@ -356,18 +355,11 @@ def test_hinf_round_cap_raises_bracket_error(monkeypatch):
     assert next(rises) == 66  # the probe call plus 64 rounds
 
 
-def test_hinf_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        hinf_norm(FIRST_ORDER_LAG, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        hinf_norm(FIRST_ORDER_LAG, rel_tol=np.nan)
-
-
 def test_hinf_given_poles_change_no_bit():
     rng = np.random.default_rng(23)
     for k in range(20):
         cl = stable_random_loop(rng, 2 + k % 7, feedthrough=(0.0, 0.3)[k % 2])
-        assert one_row(cl, 1e-6, poles=analysis._real_eig(cl.A_F)) == hinf_norm(cl, 1e-6)
+        assert one_row(cl, poles=analysis._real_eig(cl.A_F)) == hinf_norm(cl)
 
 
 def test_hinf_stop_returns_an_attained_lower_bound():
@@ -410,9 +402,9 @@ def test_hinf_zero_feedthrough_skips_its_svd(monkeypatch):
         matrix_svds.clear()
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "svd", counting)
-            res = hinf_norm(cl, 1e-6)
+            res = hinf_norm(cl)
         assert sum(matrix_svds) == (1 if k % 2 else 0)
-        assert res == one_row(cl, 1e-6, poles=poles)
+        assert res == one_row(cl, poles=poles)
     zero_gain = ClosedLoopRealization(A_F=[[-1.0]], B1=[[1.0]], C_F=[[0.0]], D11=[[0.0]])
     assert hinf_norm(zero_gain) == HinfResult(value=0.0, peak_frequency=0.0, iterations=0)
 
@@ -448,7 +440,7 @@ def _alone(A_F, C_F, B1, D11):
     return [hinf_norm(cl) for cl in _loops(A_F, C_F, B1, D11)]
 
 
-def reference_hinf_norm(cl, rel_tol=1e-6, stop=None):
+def reference_hinf_norm(cl, stop=None):
     """The level-set iteration on one loop, written as a plain loop with
     np.unique and one Hamiltonian at a time: the arithmetic the lockstep
     rows must reproduce bit for bit."""
@@ -479,7 +471,7 @@ def reference_hinf_norm(cl, rel_tol=1e-6, stop=None):
     if lo == 0.0 or (stop is not None and stop(lo)):
         return HinfResult(lo, peak, 0)
     for iterations in range(1, 65):
-        wr, wi = analysis._real_eig(hamiltonian((1.0 + rel_tol) * lo))
+        wr, wi = analysis._real_eig(hamiltonian((1.0 + NORM_REL_TOL) * lo))
         on_axis = np.abs(wr) <= analysis.IMAG_AXIS_RTOL * (1.0 + np.hypot(wr, wi))
         freqs = np.unique(np.abs(wi[on_axis]))
         if freqs.size == 0:
@@ -511,15 +503,15 @@ def test_hinf_norms_rows_match_hinf_norm_alone():
         full = _alone(A_F, C_F, B1, D11)
         # stop never, at the probe bound, or part of the way up
         limits = [np.inf, 0.0, *rng.uniform(0.5, 1.0, 4)] * np.array([r.value for r in full])
-        poles = analysis.dgeev(A_F) if k % 3 == 0 else None
-        batch = hinf_norms(A_F, C_F, B1, D11, 1e-6, poles, stop=lambda lo: lo >= limits)
+        poles = analysis.dgeev(A_F)
+        batch = hinf_norms(A_F, C_F, B1, D11, poles, stop=lambda lo: lo >= limits)
         for A, C, limit, exact, res in zip(A_F, C_F, limits, full, batch):
             cl = ClosedLoopRealization(A, B1, C, D11)
             assert repr(res) == repr(one_row(cl, stop=lambda lo: lo >= limit))
             assert repr(res) == repr(reference_hinf_norm(cl, stop=lambda lo: lo >= limit))
             stopped += res.iterations < exact.iterations
             certified += repr(res) == repr(exact)
-        assert repr(hinf_norms(A_F, C_F, B1, D11)) == repr(full)
+        assert repr(hinf_norms(A_F, C_F, B1, D11, poles)) == repr(full)
         assert repr(full) == repr([reference_hinf_norm(cl) for cl in _loops(A_F, C_F, B1, D11)])
         finished_in.add(tuple(r.iterations for r in full))
     assert stopped > 10 and certified > 10
@@ -527,16 +519,16 @@ def test_hinf_norms_rows_match_hinf_norm_alone():
 
 
 def test_hinf_norms_unstable_or_nonfinite_row_fails_alone():
+    """hinf_norm refuses an unstable loop; hinf_norms takes stable rows
+    only, and a row whose C_F is not finite fails alone."""
     rng = np.random.default_rng(28)
     A_F, C_F, B1, D11 = stable_random_batch(rng, 3, 5, feedthrough=0.3)
-    A_F[1] += 20.0 * np.eye(3)
-    C_F[3, 0, 1] = np.inf
-    batch = hinf_norms(A_F, C_F, B1, D11)
-    assert isinstance(batch[1], InstabilityError)
     with pytest.raises(InstabilityError):
-        hinf_norm(ClosedLoopRealization(A_F[1], B1, C_F[1], D11))
+        hinf_norm(ClosedLoopRealization(A_F[1] + 20.0 * np.eye(3), B1, C_F[1], D11))
+    C_F[3, 0, 1] = np.inf
+    batch = hinf_norms(A_F, C_F, B1, D11, analysis.dgeev(A_F))
     assert isinstance(batch[3], NonFiniteEntryError)
-    kept = [0, 2, 4]
+    kept = [0, 1, 2, 4]
     assert repr([batch[r] for r in kept]) == repr(_alone(A_F[kept], C_F[kept], B1, D11))
 
 
@@ -545,6 +537,7 @@ def test_hinf_norms_failing_eigensolve_fails_only_its_row(monkeypatch):
     A_F, C_F, B1, D11 = stable_random_batch(rng, 4, 5)
     alone = _alone(A_F, C_F, B1, D11)
     dgeev = analysis.dgeev
+    poles = dgeev(A_F)
 
     def failing(M):
         # D11 = 0, so a Hamiltonian's leading block is its row's A_F
@@ -553,9 +546,36 @@ def test_hinf_norms_failing_eigensolve_fails_only_its_row(monkeypatch):
         return dgeev(M)
 
     monkeypatch.setattr(analysis, "dgeev", failing)
-    batch = hinf_norms(A_F, C_F, B1, D11)
+    batch = hinf_norms(A_F, C_F, B1, D11, poles)
     assert isinstance(batch[2], EigenSolveError)
     assert repr(batch[:2] + batch[3:]) == repr(alone[:2] + alone[3:])
+
+
+def test_singular_gain_solve_fails_only_its_row(monkeypatch):
+    """A stacked gain solve that fails is redone one frequency at a time:
+    the loop whose resolvents fail alone fails as SingularResolventError, in
+    hinf_norms, hinf_norm and the grid oracle, and the other rows keep
+    their bits."""
+    rng = np.random.default_rng(37)
+    A_F, C_F, B1, D11 = stable_random_batch(rng, 4, 5)
+    alone = _alone(A_F, C_F, B1, D11)
+    poles = analysis.dgeev(A_F)
+    solve = np.linalg.solve
+
+    def failing(a, b):
+        # D11 = 0, so every solve is of resolvents jwI - A_F; row 2's fail
+        if any(np.array_equal(-M.real, A_F[2]) for M in a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    batch = hinf_norms(A_F, C_F, B1, D11, poles)
+    assert isinstance(batch[2], SingularResolventError)
+    assert repr(batch[:2] + batch[3:]) == repr(alone[:2] + alone[3:])
+    cl = ClosedLoopRealization(A_F[2], B1, C_F[2], D11)
+    for norm in (hinf_norm, hinf_norm_grid):
+        with pytest.raises(SingularResolventError):
+            norm(cl)
 
 
 def test_hinf_norms_endless_rise_fails_only_its_row(monkeypatch):
@@ -563,6 +583,7 @@ def test_hinf_norms_endless_rise_fails_only_its_row(monkeypatch):
     A_F, C_F, B1, D11 = stable_random_batch(rng, 4, 5)
     alone = _alone(A_F, C_F, B1, D11)
     dgeev, max_gains = analysis.dgeev, analysis._max_gains
+    poles = dgeev(A_F)
     rises = iter(range(1, 1000))
     rounds = []
 
@@ -581,7 +602,7 @@ def test_hinf_norms_endless_rise_fails_only_its_row(monkeypatch):
 
     monkeypatch.setattr(analysis, "dgeev", crossing)
     monkeypatch.setattr(analysis, "_max_gains", rising)
-    batch = hinf_norms(A_F, C_F, B1, D11)
+    batch = hinf_norms(A_F, C_F, B1, D11, poles)
     assert isinstance(batch[3], BracketError) and len(rounds) == 64
     assert repr(batch[:3] + batch[4:]) == repr(alone[:3] + alone[4:])
 
@@ -644,7 +665,7 @@ def test_hinf_norms_nonfinite_hamiltonian_is_not_certified():
     # finite A_F and C_F whose C'C overflows: the Hamiltonian has -inf entries
     A_F, C_F, B1, D11 = stable_random_batch(np.random.default_rng(36), 3, 3)
     C_F[1] *= 1e160
-    batch = hinf_norms(A_F, C_F, B1, D11)
+    batch = hinf_norms(A_F, C_F, B1, D11, analysis.dgeev(A_F))
     assert isinstance(batch[1], EigenSolveError)
     kept = [0, 2]
     assert repr([batch[r] for r in kept]) == repr(_alone(A_F[kept], C_F[kept], B1, D11))
@@ -666,7 +687,7 @@ def test_import_loads_no_scipy():
 
 
 # ---------------------------------------------------------------------------
-# adversarial loops: the norm is never below the fine grid by more than rel_tol
+# adversarial loops: the norm is never below the fine grid by more than NORM_REL_TOL
 
 
 def fine_grid_norm(cl):
@@ -681,23 +702,21 @@ def test_hinf_near_feedthrough_bound_agrees_with_fine_grid():
     # the norm within 1e-6 relative of sigma_max(D11): R = gamma^2 I - D11'D11
     # is nearly singular at every gamma the loop tries
     rng = np.random.default_rng(19)
-    rel_tol = 1e-6
     for k in range(30):
         cl = stable_random_loop(rng, 2 + k % 5, feedthrough=1.0)
         d_norm = np.linalg.svd(cl.D11, compute_uv=False)[0]
         dynamic = hinf_norm_grid(ClosedLoopRealization(cl.A_F, cl.B1, cl.C_F, 0 * cl.D11))
         eps = 10.0 ** rng.uniform(-9, -6) * d_norm / dynamic
         cl = ClosedLoopRealization(cl.A_F, eps * cl.B1, cl.C_F, cl.D11)
-        value = hinf_norm(cl, rel_tol).value
+        value = hinf_norm(cl).value
         assert value <= (1 + 1e-6) * d_norm, f"loop {k} is not near sigma_max(D11)"
-        assert fine_grid_norm(cl) <= (1 + rel_tol) * value, f"seed 19, loop {k}"
+        assert fine_grid_norm(cl) <= (1 + NORM_REL_TOL) * value, f"seed 19, loop {k}"
 
 
 def test_hinf_badly_scaled_agrees_with_fine_grid():
     # T A T^-1, T B, C T^-1 for a diagonal T spanning 1e6: same transfer
     # matrix, much larger ||H||
     rng = np.random.default_rng(20)
-    rel_tol = 1e-6
     for k in range(30):
         n_x = 2 + k % 7
         cl = stable_random_loop(rng, n_x, feedthrough=(0.0, 0.3)[k % 2])
@@ -706,14 +725,13 @@ def test_hinf_badly_scaled_agrees_with_fine_grid():
         scaled = ClosedLoopRealization(
             T[:, None] * cl.A_F / T, T[:, None] * cl.B1, cl.C_F / T, cl.D11
         )
-        value = hinf_norm(scaled, rel_tol).value
-        assert fine_grid_norm(cl) <= (1 + rel_tol) * value, f"seed 20, loop {k}"
+        value = hinf_norm(scaled).value
+        assert fine_grid_norm(cl) <= (1 + NORM_REL_TOL) * value, f"seed 20, loop {k}"
 
 
 def test_hinf_large_loops_agree_with_fine_grid():
     rng = np.random.default_rng(21)
-    rel_tol = 1e-6
     for k in range(20):
         cl = stable_random_loop(rng, (8, 16, 24, 32)[k % 4], feedthrough=(0.0, 0.3)[k % 2])
-        value = hinf_norm(cl, rel_tol).value
-        assert fine_grid_norm(cl) <= (1 + rel_tol) * value, f"seed 21, loop {k}"
+        value = hinf_norm(cl).value
+        assert fine_grid_norm(cl) <= (1 + NORM_REL_TOL) * value, f"seed 21, loop {k}"

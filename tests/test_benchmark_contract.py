@@ -10,6 +10,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from sofsyn import analysis, builtin_plant_path, load_problem, objectives
 from sofsyn.analysis import hinf_norm
 from sofsyn.cli import build_parser
 from sofsyn.driver import SolverConfig
@@ -45,3 +48,15 @@ def test_hinf_norm_reports_integer_iterations():
     cl = ClosedLoopRealization(A_F=[[-1.0]], B1=[[1.0]], C_F=[[1.0]], D11=[[0.5]])
     iterations = hinf_norm(cl).iterations
     assert type(iterations) is int and iterations > 0
+
+
+def test_benchmark_reads_of_a_config():
+    # perfbench/checks.py and measure.py read these from a SolverConfig
+    config = SolverConfig()
+    assert config.stability_tol == analysis.STABILITY_TOL
+    assert config.infeasible_penalty == objectives.INFEASIBLE_PENALTY
+    assert config.norm_rel_tol == analysis.NORM_REL_TOL
+    plant = load_problem(builtin_plant_path("double_integrator"))
+    ev = objectives.evaluate(plant, [-1.0, -2.0], config.objective, config.fitness_config())
+    assert ev.feasible
+    assert analysis.is_hurwitz(-np.eye(2), config.stability_tol).hurwitz

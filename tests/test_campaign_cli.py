@@ -408,12 +408,13 @@ def test_cli_threads_must_be_positive(capsys):
 
 @pytest.mark.parametrize("flag", ["--beta", "--sigma0"])
 def test_cli_nan_setting_rejected(flag, capsys):
-    code = main([
-        "solve", "--problem", builtin_plant_path("double_integrator"),
-        "--objective", "sa", "--budget", "300", flag, "nan",
-    ])
-    assert code == 2
-    assert "must be" in capsys.readouterr().err
+    for value in ("nan", "inf"):
+        code = main([
+            "solve", "--problem", builtin_plant_path("double_integrator"),
+            "--objective", "sa", "--budget", "300", flag, value,
+        ])
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
 
 
 def test_campaign_failed_run_recorded_and_continues(monkeypatch):

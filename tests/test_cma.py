@@ -6,8 +6,9 @@ from scipy.linalg import fractional_matrix_power
 
 from sofsyn.cma import (
     EIG_FLOOR_REL,
+    SIGMA_MAX,
+    SIGMA_RESET,
     CmaParams,
-    ResetLimits,
     default_params,
     enforce_spd,
     init_state,
@@ -19,7 +20,6 @@ from sofsyn.cma import (
     update_paths,
     update_step_size,
 )
-from sofsyn.errors import ConfigError
 
 
 def hand_params(n):
@@ -351,7 +351,7 @@ def test_enforce_spd_random_indefinite():
 
 def test_reset_leaves_healthy_state_alone():
     state = init_state(np.array([1.0, 2.0]), sigma=0.4)
-    assert not maybe_reset(state, ResetLimits(), np.zeros(2))
+    assert not maybe_reset(state, np.zeros(2))
     np.testing.assert_array_equal(state.mean, [1.0, 2.0])
     assert state.sigma == 0.4
 
@@ -362,8 +362,8 @@ def test_reset_on_sigma_blowup():
     state.cov = np.diag([2.0, 3.0])
     state.generation = 17
     best = np.array([5.0, -5.0])
-    assert maybe_reset(state, ResetLimits(), best)
-    assert state.sigma == 0.3
+    assert maybe_reset(state, best)
+    assert state.sigma == SIGMA_RESET
     np.testing.assert_array_equal(state.cov, np.eye(2))
     np.testing.assert_array_equal(state.mean, best)
     np.testing.assert_array_equal(state.path_sigma, np.zeros(2))
@@ -373,29 +373,14 @@ def test_reset_on_sigma_blowup():
 def test_reset_on_nan_path():
     state = init_state(np.zeros(2))
     state.path_sigma = np.array([np.nan, 0.0])
-    assert maybe_reset(state, ResetLimits(), None)
-    assert state.sigma == 0.3
+    assert maybe_reset(state, None)
+    assert state.sigma == SIGMA_RESET
 
 
 def test_reset_on_sigma_underflow():
     state = init_state(np.zeros(1))
     state.sigma = 1e-13
-    assert maybe_reset(state, ResetLimits(), None)
-
-
-@pytest.mark.parametrize("limits", [
-    dict(sigma_reset=0.0),
-    dict(sigma_min=0.0),
-    dict(sigma_min=1.0),
-    dict(sigma_reset=1e8),
-    dict(sigma_max=math.inf),
-    dict(sigma_reset=math.nan),
-])
-def test_reset_limits_validated(limits):
-    """Limits are finite and a reset lands inside [sigma_min, sigma_max]."""
-    with pytest.raises(ConfigError):
-        ResetLimits(**limits)
-    ResetLimits(sigma_min=1.0, sigma_max=1.0, sigma_reset=1.0)
+    assert maybe_reset(state, None)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +392,6 @@ def test_update_loop_invariants_stress():
     n = 4
     params = default_params(n)
     state = init_state(np.zeros(n), 0.3)
-    limits = ResetLimits()
     for _ in range(200):
         cands = sample_population(state, params, rng)
         order = rng.permutation(params.p)[: params.mu]  # random-fitness selection
@@ -419,14 +403,14 @@ def test_update_loop_invariants_stress():
         state.mean, state.path_sigma, state.path_cov = new_mean, p_sigma, p_cov
         state.cov, state.sigma = cov, sigma
         state.generation += 1
-        maybe_reset(state, limits, state.mean)
+        maybe_reset(state, state.mean)
         refresh_basis(state)
 
         assert np.max(np.abs(state.cov - state.cov.T)) <= 1e-12
         eigs = np.linalg.eigvalsh(state.cov)
         scale = max(eigs.max(), 1.0)
         assert eigs.min() >= EIG_FLOOR_REL * scale - 16 * np.finfo(float).eps * scale
-        assert 0 < state.sigma <= limits.sigma_max
+        assert 0 < state.sigma <= SIGMA_MAX
 
 
 def test_refresh_basis_repairs_indefinite_covariance():

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from sofsyn import builtin_plant_path, load_problem
-from sofsyn.errors import DimensionMismatchError
+from sofsyn.errors import ConfigError, DimensionMismatchError
 from sofsyn.analysis import spectral_abscissa
 from sofsyn.model import PlantRealization, close_loop, unflatten_gain
 from sofsyn.objectives import (
+    INFEASIBLE_PENALTY,
     Evaluation,
     FitnessConfig,
     ObjectiveKind,
     PenaltyMode,
     evaluate,
     evaluate_batch,
-    feasibility,
     gain_norm,
 )
 
@@ -32,6 +32,11 @@ UNSTABLE_LAG = PlantRealization(
 @pytest.fixture(scope="module")
 def double_integrator():
     return load_problem(builtin_plant_path("double_integrator"))
+
+
+def feasibility(plant, alpha):
+    """The stability verdict of evaluate: the closed loop is Hurwitz."""
+    return evaluate(plant, alpha, ObjectiveKind.SPECTRAL_ABSCISSA).feasible
 
 
 def test_gain_norm_345():
@@ -126,11 +131,11 @@ def test_strict_penalty_dominance(double_integrator):
         alpha = rng.standard_normal(2) * 3.0
         ev = evaluate(double_integrator, alpha, ObjectiveKind.HINF_NORM, cfg)
         if ev.feasible:
-            if ev.objective + cfg.beta * ev.gain_norm < cfg.infeasible_penalty:
+            if ev.objective + cfg.beta * ev.gain_norm < INFEASIBLE_PENALTY:
                 feasible_fits.append(ev.fitness)
         else:
             infeasible_fits.append(ev.fitness)
-            assert ev.fitness <= -cfg.infeasible_penalty
+            assert ev.fitness <= -INFEASIBLE_PENALTY
     assert feasible_fits and infeasible_fits
     assert max(infeasible_fits) < min(feasible_fits)
 
@@ -176,18 +181,10 @@ def test_evaluate_nonfinite_candidate_ranks_last(double_integrator):
 
 
 def test_fitness_config_validation():
-    with pytest.raises(ValueError):
-        FitnessConfig(beta=-1.0)
-    with pytest.raises(ValueError):
-        FitnessConfig(infeasible_penalty=0.0)
-    with pytest.raises(ValueError):
-        FitnessConfig(norm_rel_tol=0.0)
-    with pytest.raises(ValueError):
-        FitnessConfig(stability_tol=-1.0)
-    FitnessConfig(stability_tol=0.0)
-    for name in ("beta", "infeasible_penalty", "stability_tol", "norm_rel_tol"):
-        with pytest.raises(ValueError):
-            FitnessConfig(**{name: math.nan})
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            FitnessConfig(beta=beta)
+    FitnessConfig(beta=0.0)
 
 
 # A_F = A + B f C = [[1 + 2f, 1 + f], [6f, -2 + 3f]] for a scalar gain f:
@@ -210,9 +207,9 @@ def test_evaluate_batch_rows_match_single_evaluations(kind, monkeypatch):
 
     original = objectives.hinf_norms
 
-    def failing_below(A_F, C_F, B1, D11, rel_tol, poles=None, stop=None):
+    def failing_below(A_F, C_F, B1, D11, poles, stop=None):
         # stands in for a norm failure on the f = -2 row (A_F[0, 0] = -3)
-        results = original(A_F, C_F, B1, D11, rel_tol, poles, stop)
+        results = original(A_F, C_F, B1, D11, poles, stop)
         return [
             BracketError("no certifiable upper bound") if A[0, 0] < -2.5 else res
             for A, res in zip(A_F, results)
@@ -234,7 +231,7 @@ def test_evaluate_batch_rows_match_single_evaluations(kind, monkeypatch):
         assert ev.fitness == -math.inf and not ev.feasible
     if kind is ObjectiveKind.HINF_NORM:
         assert not failed.feasible and failed.objective == math.inf
-        assert failed.fitness == -cfg.infeasible_penalty > unstable.fitness
+        assert failed.fitness == -INFEASIBLE_PENALTY > unstable.fitness
     else:
         assert failed.feasible
 
@@ -329,16 +326,17 @@ def test_floored_rows_stop_only_when_they_cannot_beat_their_floor(monkeypatch):
 
 def test_floor_below_the_penalty_is_ignored(monkeypatch):
     """A stable row whose norm computation would fail scores exactly
-    -infeasible_penalty, so a floor below that must not stop the norm: the
-    full run fails and the row beats its floor, as it does without one."""
+    -INFEASIBLE_PENALTY, so a floor below that must not stop the norm: the
+    full run fails and the row beats its floor, as it does without one. The
+    penalty is lowered to 1e-2 so that floors near it can stop the norm."""
     import sofsyn.objectives as objectives
     from sofsyn.errors import BracketError
 
     original = objectives.hinf_norms
 
-    def failing_unless_stopped(A_F, C_F, B1, D11, rel_tol, poles=None, stop=None):
+    def failing_unless_stopped(A_F, C_F, B1, D11, poles, stop=None):
         # stands in for a norm that fails in a round after the one that stops
-        results = original(A_F, C_F, B1, D11, rel_tol, poles, stop)
+        results = original(A_F, C_F, B1, D11, poles, stop)
         values = np.array([r.value for r in results])
         held = [False] * len(results) if stop is None else stop(values)
         return [
@@ -347,40 +345,45 @@ def test_floor_below_the_penalty_is_ignored(monkeypatch):
         ]
 
     monkeypatch.setattr(objectives, "hinf_norms", failing_unless_stopped)
-    cfg = FitnessConfig(beta=1e-3, infeasible_penalty=1e-2)
+    monkeypatch.setattr(objectives, "INFEASIBLE_PENALTY", 1e-2)
+    penalty = objectives.INFEASIBLE_PENALTY
+    cfg = FitnessConfig(beta=1e-3)
     row = np.array([[-1.0]])  # stable, norm above 0.2 = sigma_max(D11)
     kind = ObjectiveKind.HINF_NORM
     [exact] = evaluate_batch(BATCH_PLANT, row, kind, cfg)
-    assert exact.fitness == -cfg.infeasible_penalty and not exact.feasible
-    [below] = evaluate_batch(BATCH_PLANT, row, kind, cfg, [-2 * cfg.infeasible_penalty])
+    assert exact.fitness == -penalty and not exact.feasible
+    [below] = evaluate_batch(BATCH_PLANT, row, kind, cfg, [-2 * penalty])
     assert _same_bits(below, exact)
     # a floor at the penalty is kept: the row stops and loses, as the exact row does
-    [at] = evaluate_batch(BATCH_PLANT, row, kind, cfg, [-cfg.infeasible_penalty])
-    assert at.feasible and at.fitness <= -cfg.infeasible_penalty
+    [at] = evaluate_batch(BATCH_PLANT, row, kind, cfg, [-penalty])
+    assert at.feasible and at.fitness <= -penalty
 
 
 def test_floor_below_the_penalty_is_ignored_beside_a_usable_one(monkeypatch):
-    """In one batch, a row whose floor is below -infeasible_penalty runs its
-    norm in full even while another row's floor stops its own."""
+    """In one batch, a row whose floor is below -INFEASIBLE_PENALTY (lowered
+    to 1e-2) runs its norm in full even while another row's floor stops its
+    own."""
     import sofsyn.objectives as objectives
     from sofsyn.errors import BracketError
 
     original = objectives.hinf_norms
 
-    def failing_unless_stopped(A_F, C_F, B1, D11, rel_tol, poles=None, stop=None):
-        results = original(A_F, C_F, B1, D11, rel_tol, poles, stop)
+    def failing_unless_stopped(A_F, C_F, B1, D11, poles, stop=None):
+        results = original(A_F, C_F, B1, D11, poles, stop)
         held = stop(np.array([r.value for r in results]))
         return [
             r if h else BracketError("no certifiable upper bound") for r, h in zip(results, held)
         ]
 
     monkeypatch.setattr(objectives, "hinf_norms", failing_unless_stopped)
-    cfg = FitnessConfig(beta=1e-3, infeasible_penalty=1e-2)
+    monkeypatch.setattr(objectives, "INFEASIBLE_PENALTY", 1e-2)
+    penalty = objectives.INFEASIBLE_PENALTY
+    cfg = FitnessConfig(beta=1e-3)
     rows = np.array([[-1.0], [-1.5]])  # both stable, norms above 0.2 = sigma_max(D11)
-    floors = [-2 * cfg.infeasible_penalty, -cfg.infeasible_penalty]
+    floors = [-2 * penalty, -penalty]
     low, usable = evaluate_batch(BATCH_PLANT, rows, ObjectiveKind.HINF_NORM, cfg, floors)
-    assert low.fitness == -cfg.infeasible_penalty and not low.feasible
-    assert usable.feasible and usable.fitness <= -cfg.infeasible_penalty
+    assert low.fitness == -penalty and not low.feasible
+    assert usable.feasible and usable.fitness <= -penalty
 
 
 def test_evaluate_batch_eigensolves_once_per_loop_and_per_round(monkeypatch):
@@ -450,7 +453,7 @@ def test_failing_stability_eigensolve_penalizes_only_its_row(kind, monkeypatch):
 
     monkeypatch.setattr(analysis, "dgeev", failing)
     batch = evaluate_batch(plant, X, kind, cfg)
-    penalized = Evaluation(-cfg.infeasible_penalty, math.inf, gain_norm(X[bad]), False)
+    penalized = Evaluation(-INFEASIBLE_PENALTY, math.inf, gain_norm(X[bad]), False)
     assert _same_bits(batch[bad], penalized)
     assert _same_bits(evaluate(plant, X[bad], kind, cfg), penalized)
     for i, (row, alone) in enumerate(zip(X, exact)):
@@ -484,3 +487,19 @@ def test_stable_row_with_overflowing_hamiltonian_scores_the_penalty_silently():
         warnings.simplefilter("error")
         ev = evaluate(plant, np.array([0.5]), ObjectiveKind.HINF_NORM)
     assert _same_bits(ev, Evaluation(-100000.0, math.inf, 0.5, False))
+
+
+def test_gain_that_is_not_a_number_scores_the_penalty():
+    # f = 0.9 leaves A_F = -0.1 and C_F = 9e307 finite, but the gain at the
+    # probe frequencies is not a number: the norm fails rather than read 0
+    plant = PlantRealization(
+        A=[[-1.0]], B1=[[1.0]], B=[[1.0]], C1=[[1.0]], D11=[[0.0]], D12=[[1e308]], C=[[1.0]],
+        name="gain_overflow",
+    )
+    expected = Evaluation(-100000.0, math.inf, 0.9, False)
+    kind = ObjectiveKind.HINF_NORM
+    rows = np.array([[-1e-300], [0.9], [-2e-300]])
+    alone = [evaluate(plant, row, kind) for row in rows]
+    assert _same_bits(alone[1], expected)
+    assert alone[0].feasible and alone[2].feasible
+    assert all(_same_bits(a, b) for a, b in zip(evaluate_batch(plant, rows, kind), alone))
