@@ -13,10 +13,14 @@ Two independent routes to the H-infinity norm live here:
 
 Eigenvalues come from :func:`dgeev`, one numpy call per stack of matrices:
 per batch for stability, and per level-set round for the Hamiltonians.
+Gains come from :func:`_sweep`, in stacked calls of at most
+max(1, SWEEP_ENTRIES // n_x**2) resolvents, so the memory of a sweep does
+not grow with its number of frequencies.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +57,9 @@ NORM_REL_TOL = 1e-6
 
 #: An eigenvalue lam counts as purely imaginary when |Re lam| <= this * (1 + |lam|).
 IMAG_AXIS_RTOL = 1e-7
+
+#: A gain sweep solves at most max(1, SWEEP_ENTRIES // n_x**2) resolvents per stacked call.
+SWEEP_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -169,18 +176,45 @@ def _max_gains(A_F, C_F, B1, D11, omegas) -> np.ndarray:
         return np.concatenate([_max_gains(a, c, B1, D11, [w]) for a, c, w in zip(A, C, omegas)])
 
 
+def _sweep(A_F, C_F, B1, D11, omegas, loops=None) -> np.ndarray:
+    """:func:`_max_gains` at each frequency omegas[i] of the realization
+    (A_F, C_F), or of (A_F[loops[i]], C_F[loops[i]]) given ``loops``, in
+    stacked calls of at most max(1, SWEEP_ENTRIES // n_x**2) frequencies, so
+    memory does not grow with the number of frequencies. Each resolvent is
+    solved on its own, so the chunks change no bit."""
+    step = max(1, SWEEP_ENTRIES // A_F.shape[-1] ** 2)
+    gains = []
+    for part in (slice(s, s + step) for s in range(0, len(omegas), step)):
+        A, C = (A_F, C_F) if loops is None else (A_F[loops[part]], C_F[loops[part]])
+        gains.append(_max_gains(A, C, B1, D11, omegas[part]))
+    return np.concatenate(gains)
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Sampling scheme used by the grid oracle.
 
     w = 0 and logarithmically spaced points between ``omega_min`` and
     ``omega_max`` (``points_per_decade`` per decade); the oracle refines the
-    sampled argmax by golden-section search.
+    sampled argmax by golden-section search. Raises ``ValueError`` naming
+    the field unless 0 < omega_min <= omega_max < inf and
+    ``points_per_decade`` is a positive integer.
     """
 
     omega_min: float = 1e-4
     omega_max: float = 1e4
     points_per_decade: int = 400
+
+    def __post_init__(self):
+        if not 0 < self.omega_min < np.inf:
+            raise ValueError(f"omega_min must be finite and positive, got {self.omega_min!r}")
+        if not self.omega_min <= self.omega_max < np.inf:
+            raise ValueError(
+                f"omega_max must be finite and at least omega_min, got {self.omega_max!r}"
+            )
+        per_decade = self.points_per_decade
+        if not (isinstance(per_decade, numbers.Integral) and per_decade >= 1):
+            raise ValueError(f"points_per_decade must be a positive integer, got {per_decade!r}")
 
     def frequencies(self) -> np.ndarray:
         lo = np.log10(self.omega_min)
@@ -216,6 +250,8 @@ def _golden_max(f, a: float, b: float, max_iter: int = 120) -> tuple[float, floa
 
 def hinf_norm_grid(cl: ClosedLoopRealization, grid: FrequencyGrid = DEFAULT_GRID) -> float:
     """Grid-oracle estimate of the H-infinity norm (a lower bound on the sup).
+    The grid is swept in bounded chunks (:func:`_sweep`), so memory does
+    not grow with the grid size.
 
     Raises
     ------
@@ -229,11 +265,11 @@ def hinf_norm_grid(cl: ClosedLoopRealization, grid: FrequencyGrid = DEFAULT_GRID
     if abscissa >= 0:
         raise InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
     omegas = grid.frequencies()
-    gains = _max_gains(cl.A_F, cl.C_F, cl.B1, cl.D11, omegas)
+    gains = _sweep(cl.A_F, cl.C_F, cl.B1, cl.D11, omegas)
     k = int(np.argmax(gains))  # the first NaN, if there is one
     best = float(gains[k])
     if best != best:
-        raise SingularResolventError(f"the gain at omega={omegas[k]!r} cannot be computed")
+        raise SingularResolventError(f"the gain at omega={float(omegas[k])!r} cannot be computed")
     a = omegas[k - 1] if k > 0 else omegas[k]
     b = omegas[k + 1] if k + 1 < omegas.size else omegas[k]
     if b > a:
@@ -290,12 +326,13 @@ def _peaks(A_F, C_F, B1, D11, rows, W: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Per row j of W, the largest gain of loop rows[j] over the finite
     entries of W[j] and the frequency np.argmax picks for it (the first
     NaN, else the first maximum); (-inf, inf) if there is none. A repeated
-    frequency has the same gain, so the result is that of the row's np.unique."""
+    frequency has the same gain, so the result is that of the row's np.unique.
+    The gains come from one bounded-chunk :func:`_sweep`."""
     finite = W < np.inf
     loops = rows[finite.nonzero()[0]]
     G = np.full(W.shape, -np.inf)
     if loops.size:
-        G[finite] = _max_gains(A_F[loops], C_F[loops], B1, D11, W[finite])
+        G[finite] = _sweep(A_F, C_F, B1, D11, W[finite], loops)
     k = G.argmax(axis=1)
     every = np.arange(len(W))
     return G[every, k], W[every, k]
@@ -318,11 +355,11 @@ def hinf_norms(A_F, C_F, B1, D11, poles, stop=None) -> list:
     certifies its norm within [value, (1 + NORM_REL_TOL) * value], or when
     the crossings raise no gain above the bound, which makes them rounding
     error rather than gain. The rows run in lockstep on array state (the
-    bounds, peak frequencies and live rows are arrays): each stage, the
-    eigensolves included, is one stacked call over the rows still
-    iterating (one :func:`dgeev` call per round), and every row gets the
-    bits it would get alone. Overflow in a row's Hamiltonian or gains
-    raises no numpy warning; the row fails as below.
+    bounds, peak frequencies and live rows are arrays): each round's
+    eigensolves are one stacked :func:`dgeev` call over the rows still
+    iterating, each stage's gains are one :func:`_sweep` in bounded chunks,
+    and every row gets the bits it would get alone. Overflow in a row's
+    Hamiltonian or gains raises no numpy warning; the row fails as below.
 
     ``stop`` is an optional predicate on the array of all rows' lower
     bounds that returns a mask of rows to stop; it is heeded for the rows

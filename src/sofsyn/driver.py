@@ -20,7 +20,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from . import analysis, objectives
+from . import analysis, cma, objectives
 from .cma import (
     CmaParams,
     default_params,
@@ -57,6 +57,8 @@ class SolverConfig:
     additionally spends ``t_s`` local evaluations, which are charged
     against ``t_max`` only when ``charge_local_to_budget`` is set. The
     fitness fields are validated as :class:`FitnessConfig` validates them.
+    ``sigma0`` lies in [cma.SIGMA_MIN, cma.SIGMA_MAX], the step sizes a run
+    keeps without a reset.
     ``threads`` caps the worker processes of a campaign
     (:func:`sofsyn.campaign.run_campaign`) and changes no result; a single
     solve runs on the calling thread and ignores it.
@@ -85,8 +87,8 @@ class SolverConfig:
             raise ConfigError("t_max must be positive")
         if not self.t_s >= 1:
             raise ConfigError("t_s must be positive")
-        if not 0 < self.sigma0 < math.inf:
-            raise ConfigError("sigma0 must be finite and positive")
+        if not cma.SIGMA_MIN <= self.sigma0 <= cma.SIGMA_MAX:
+            raise ConfigError(f"sigma0 must be in [{cma.SIGMA_MIN:g}, {cma.SIGMA_MAX:g}]")
         if not self.seed >= 0:
             raise ConfigError("seed must be nonnegative")
         if not self.threads >= 1:

@@ -227,6 +227,20 @@ def test_grid_spec_frequencies():
     assert freqs[-1] == pytest.approx(1e4)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"omega_min": 0.0}, "omega_min"),
+        ({"omega_min": 1e2, "omega_max": 1e-2}, "omega_max"),
+        ({"omega_max": np.inf}, "omega_max"),
+        ({"points_per_decade": 0}, "points_per_decade"),
+    ],
+)
+def test_grid_spec_rejects_bad_fields(fields, name):
+    with pytest.raises(ValueError, match=name):
+        FrequencyGrid(**fields)
+
+
 # ---------------------------------------------------------------------------
 # level-set norm
 
@@ -607,6 +621,104 @@ def test_hinf_norms_endless_rise_fails_only_its_row(monkeypatch):
     assert repr(batch[:3] + batch[4:]) == repr(alone[:3] + alone[4:])
 
 
+# ---------------------------------------------------------------------------
+# gain sweeps in bounded chunks
+
+
+def _sweep_cases(rng):
+    """Batches of six loops at several n_x, without and with D11."""
+    for n_x in (1, 3, 8, 16):
+        for feedthrough in (0.0, 0.3):
+            yield stable_random_batch(rng, n_x, 6, feedthrough=feedthrough)
+
+
+def test_chunked_sweeps_change_no_bit(monkeypatch):
+    """Sweeping one resolvent per stacked call gives the grid oracle and
+    the lockstep norms the bits of the unchunked sweep."""
+
+    def run():
+        grids, norms = [], []
+        for A_F, C_F, B1, D11 in _sweep_cases(np.random.default_rng(38)):
+            grids += [hinf_norm_grid(cl).hex() for cl in _loops(A_F, C_F, B1, D11)[:2]]
+            norms.append(repr(hinf_norms(A_F, C_F, B1, D11, analysis.dgeev(A_F))))
+        return grids, norms
+
+    monkeypatch.setattr(analysis, "SWEEP_ENTRIES", 2**62)
+    unchunked = run()
+    monkeypatch.setattr(analysis, "SWEEP_ENTRIES", 1)
+    assert run() == unchunked
+
+
+def test_singular_gain_in_a_chunk_fails_only_its_frequency(monkeypatch):
+    """A resolvent that fails inside a chunk of three fails alone: its
+    gain is NaN, every other gain of the sweep keeps its bits, and only its
+    loop fails in hinf_norms and the grid oracle."""
+    rng = np.random.default_rng(39)
+    A_F, C_F, B1, D11 = stable_random_batch(rng, 4, 5)
+    alone = _alone(A_F, C_F, B1, D11)
+    poles = analysis.dgeev(A_F)
+    loops = np.repeat(np.arange(5), 4)
+    omegas = np.tile([0.5, 1.0, 0.0, 2.0], 5)  # row 2 at w = 0 is mid-chunk
+    clean = analysis._sweep(A_F, C_F, B1, D11, omegas, loops)
+    solve = np.linalg.solve
+
+    def failing(a, b):
+        # row 2's resolvent at w = 0 is singular
+        if any(np.array_equal(M, -A_F[2].astype(complex)) for M in a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(analysis, "SWEEP_ENTRIES", 3 * 4**2)
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    gains = analysis._sweep(A_F, C_F, B1, D11, omegas, loops)
+    bad = (loops == 2) & (omegas == 0.0)
+    assert np.isnan(gains[bad]).all() and gains[~bad].tobytes() == clean[~bad].tobytes()
+    batch = hinf_norms(A_F, C_F, B1, D11, poles)
+    assert isinstance(batch[2], SingularResolventError) and "omega=0.0" in str(batch[2])
+    assert repr(batch[:2] + batch[3:]) == repr(alone[:2] + alone[3:])
+    with pytest.raises(SingularResolventError, match="omega=0.0"):
+        hinf_norm_grid(ClosedLoopRealization(A_F[2], B1, C_F[2], D11))
+    assert hinf_norm_grid(ClosedLoopRealization(A_F[1], B1, C_F[1], D11)) > 0
+
+
+def test_sweeps_hold_at_most_the_bound(monkeypatch):
+    """At n_x = 48 every stacked resolvent solve and gain SVD of the grid
+    oracle, the pole probes and the level-set rounds holds at most
+    max(1, SWEEP_ENTRIES // n_x**2) frequencies, and each of those sweeps
+    is longer than one chunk."""
+    n_x = 48
+    bound = max(1, analysis.SWEEP_ENTRIES // n_x**2)
+    solve, svd, dgeev = np.linalg.solve, np.linalg.svd, analysis.dgeev
+    stage = [[]]
+
+    def counting(f):
+        def wrapped(a, *args, **kwargs):
+            if np.iscomplexobj(a) and np.ndim(a) == 3:
+                stage[-1].append(len(a))
+            return f(a, *args, **kwargs)
+
+        return wrapped
+
+    def each_round(M):
+        stage.append([])
+        return dgeev(M)
+
+    monkeypatch.setattr(np.linalg, "solve", counting(solve))
+    monkeypatch.setattr(np.linalg, "svd", counting(svd))
+    rng = np.random.default_rng(40)
+    A_F, C_F, B1, D11 = stable_random_batch(rng, n_x, 12)
+    hinf_norm_grid(ClosedLoopRealization(A_F[0], B1, C_F[0], D11))
+    assert max(stage[0]) <= bound and sum(stage[0]) > 2 * 3201
+    stage[:] = [[]]
+    poles = dgeev(A_F)
+    monkeypatch.setattr(analysis, "dgeev", each_round)
+    results = hinf_norms(A_F, C_F, B1, D11, poles)
+    assert all(isinstance(res, HinfResult) for res in results)
+    probes, rounds = stage[0], sum(stage[1:], [])
+    assert max(probes + rounds) <= bound
+    assert sum(probes) > 2 * bound and max(map(sum, stage[1:])) > 2 * bound
+
+
 def _stacks_to_solve(rng):
     """Closed loops at n = 1-64 and their Hamiltonians (n = 2-64), without
     and with D11, as stacks of five matrices."""
@@ -692,7 +804,8 @@ def test_import_loads_no_scipy():
 
 def fine_grid_norm(cl):
     """Grid oracle at 2000 points per decade on [1e-5, 1e5], one decade at a
-    time so the batched solves stay small at n_x = 32."""
+    time, so the sampled peak of every decade gets its own golden-section
+    refinement."""
     return max(
         hinf_norm_grid(cl, FrequencyGrid(10.0**d, 10.0 ** (d + 1), 2000)) for d in range(-5, 5)
     )

@@ -417,6 +417,18 @@ def test_cli_nan_setting_rejected(flag, capsys):
         assert "must be" in capsys.readouterr().err
 
 
+def test_cli_sigma0_above_its_bound_exits_before_solving(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a bad --sigma0")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code = main([
+        "solve", "--problem", builtin_plant_path("rand4"), "--budget", "400", "--sigma0", "1e20",
+    ])
+    assert code == 2
+    assert "sigma0 must be" in capsys.readouterr().err
+
+
 def test_campaign_failed_run_recorded_and_continues(monkeypatch):
     # a numerical failure in one problem's runs leaves unsuccessful rows
     real_solve = campaign._driver_solve

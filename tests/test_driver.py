@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sofsyn import builtin_plant_path, load_problem
-from sofsyn.cma import SIGMA_RESET, default_params
+from sofsyn.cma import SIGMA_MAX, SIGMA_MIN, SIGMA_RESET, default_params
 from sofsyn.driver import RunResult, SolverConfig, solve, solve_raw
 from sofsyn.errors import ConfigError
 from sofsyn.objectives import ObjectiveKind
@@ -228,6 +228,16 @@ def test_tolerances_validated():
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError):
                 SolverConfig(**{name: value})
+
+
+def test_sigma0_within_the_step_size_bounds():
+    """sigma0 outside [SIGMA_MIN, SIGMA_MAX] is refused: the first
+    maybe_reset would silently replace it."""
+    for sigma0 in (SIGMA_MIN, SIGMA_MAX):
+        assert SolverConfig(sigma0=sigma0).sigma0 == sigma0
+    for sigma0 in (np.nextafter(SIGMA_MIN, 0.0), np.nextafter(SIGMA_MAX, math.inf), 1e20):
+        with pytest.raises(ConfigError, match="sigma0"):
+            SolverConfig(sigma0=float(sigma0))
 
 
 def test_step_size_overflow_reseeds_at_best(monkeypatch):
