@@ -27,7 +27,6 @@ from .model import (
     close_loop,
     flatten_gain,
     unflatten_gain,
-    validate_plant,
 )
 from .objectives import (
     Evaluation,
@@ -46,7 +45,6 @@ __all__ = [
     "Dims",
     "PlantRealization",
     "ClosedLoopRealization",
-    "validate_plant",
     "close_loop",
     "flatten_gain",
     "unflatten_gain",

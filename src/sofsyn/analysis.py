@@ -280,46 +280,28 @@ def hinf_norm_grid(cl: ClosedLoopRealization, grid: FrequencyGrid = DEFAULT_GRID
     return best
 
 
-def _hamiltonians(A, C, B1, D11):
-    """``build(rows, g2)``: the stacked bounded-real Hamiltonians of the
-    loops (A[r], B1, C[r], D11) for the given rows, each at its own squared
-    gamma g2[j] > sigma_max(D11)^2 (so R = gamma^2 I - D11' D11 > 0). The
-    gamma-independent blocks are computed once."""
+def _hamiltonians(A, C, B1, D11, g2):
+    """The stacked bounded-real Hamiltonians of the loops (A[j], B1, C[j],
+    D11), each at its own squared gamma g2[j] > sigma_max(D11)^2 (so
+    R = gamma^2 I - D11' D11 > 0)."""
     n = A.shape[1]
+    H = np.empty((len(A), 2 * n, 2 * n))
     if not D11.any():
         # no feedthrough: H = [[A, B B'/g^2], [-C'C, -A']]
-        H = np.empty((len(A), 2 * n, 2 * n))
         H[:, :n, :n] = A
+        H[:, :n, n:] = (B1 @ B1.T) / g2
         H[:, n:, :n] = -(C.transpose(0, 2, 1) @ C)
         H[:, n:, n:] = -A.transpose(0, 2, 1)
-        BBt = B1 @ B1.T
-
-        def build(rows, g2):
-            Hr = H[rows]
-            Hr[:, :n, n:] = BBt / g2
-            return Hr
-
-        return build
-
+        return H
     DT = D11.T.copy()
-    BT = B1.T.copy()[None]
-    DtD = DT @ D11
-    I_w = np.eye(B1.shape[1])
-    I_z = np.eye(C.shape[1])
-
-    def build(rows, g2):
-        Ar, Cr = A[rows], C[rows]
-        R = g2 * I_w - DtD
-        Rinv_DT = np.linalg.solve(R, DT[None])
-        Acl = Ar + B1 @ (Rinv_DT @ Cr)
-        Hr = np.empty((len(Ar), 2 * n, 2 * n))
-        Hr[:, :n, :n] = Acl
-        Hr[:, :n, n:] = B1 @ np.linalg.solve(R, BT)
-        Hr[:, n:, :n] = -Cr.transpose(0, 2, 1) @ ((I_z + D11 @ Rinv_DT) @ Cr)
-        Hr[:, n:, n:] = -Acl.transpose(0, 2, 1)
-        return Hr
-
-    return build
+    R = g2 * np.eye(B1.shape[1]) - DT @ D11
+    Rinv_DT = np.linalg.solve(R, DT[None])
+    Acl = A + B1 @ (Rinv_DT @ C)
+    H[:, :n, :n] = Acl
+    H[:, :n, n:] = B1 @ np.linalg.solve(R, B1.T.copy()[None])
+    H[:, n:, :n] = -C.transpose(0, 2, 1) @ ((np.eye(C.shape[1]) + D11 @ Rinv_DT) @ C)
+    H[:, n:, n:] = -Acl.transpose(0, 2, 1)
+    return H
 
 
 def _peaks(A_F, C_F, B1, D11, rows, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,12 +392,12 @@ def hinf_norms(A_F, C_F, B1, D11, poles, stop=None) -> list:
         done |= stop(lo)[act]
     act = settle(act, done, gain, freq, 0)
 
-    build = _hamiltonians(A_F, C_F, B1, D11) if act.size else None
     for iterations in range(1, 65):
         if not act.size:
             break
         gammas = (1.0 + NORM_REL_TOL) * lo[act]
-        wr, wi = _spectra(build(act, (gammas * gammas)[:, None, None]))
+        H = _hamiltonians(A_F[act], C_F[act], B1, D11, (gammas * gammas)[:, None, None])
+        wr, wi = _spectra(H)
         failed = np.isnan(wr[:, 0])
         if failed.any():
             for r in act[failed].tolist():

@@ -296,18 +296,31 @@ def write_summary_csv(summaries: list[CampaignSummary], path) -> None:
     _write_csv(summaries, SUMMARY_CSV_HEADER, path)
 
 
+def _parse_bool(value) -> bool:
+    if value not in (True, False, "true", "false"):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value in (True, "true")
+
+
 #: Parser of a CSV or JSON field value, by the field's annotated type; float
 #: also reads the non-finite tokens written by _fmt and _json_safe.
-_PARSERS = {"str": str, "int": int, "float": float, "bool": lambda v: v is True or v == "true"}
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
 
 
-def _from_record(cls, record: dict):
-    return cls(**{f.name: _PARSERS[f.type](record[f.name]) for f in fields(cls)})
+def _from_records(cls, records, path) -> list:
+    """Build a ``cls`` from each record (a field-name -> value mapping);
+    a missing or malformed field raises ``ConfigError`` naming ``path``."""
+    try:
+        return [
+            cls(**{f.name: _PARSERS[f.type](rec[f.name]) for f in fields(cls)}) for rec in records
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed {cls.__name__} record: {exc!r}") from exc
 
 
 def read_rows_csv(path) -> list[RunRow]:
     with open(path, newline="") as fh:
-        return [_from_record(RunRow, rec) for rec in csv.DictReader(fh)]
+        return _from_records(RunRow, csv.DictReader(fh), path)
 
 
 def _json_safe(value):
@@ -346,12 +359,14 @@ def write_campaign_json(rows: list[RunRow], summaries: list[CampaignSummary], pa
 
 
 def read_campaign_json(path) -> tuple[list[RunRow], list[CampaignSummary]]:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "sofsyn.campaign":
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "sofsyn.campaign":
         raise ConfigError(f"{path}: not a sofsyn campaign file")
-    rows = [_from_record(RunRow, r) for r in doc["rows"]]
-    summaries = [_from_record(CampaignSummary, r) for r in doc["summary"]]
-    return rows, summaries
+    rows = _from_records(RunRow, doc.get("rows"), path)
+    return rows, _from_records(CampaignSummary, doc.get("summary"), path)
 
 
 def run_result_to_dict(result: RunResult) -> dict:

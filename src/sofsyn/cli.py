@@ -173,7 +173,6 @@ def _parse_gain(text: str) -> np.ndarray:
 
 def _cmd_oracle(args) -> int:
     plant = load_problem(args.problem)
-    dims = plant.dims
     if args.gain is not None:
         F = _parse_gain(args.gain)
     elif args.gain_file is not None:
@@ -182,11 +181,7 @@ def _cmd_oracle(args) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read gain file {args.gain_file}: {exc}") from exc
     else:
-        F = np.zeros((dims.n_u, dims.n_y))
-    if F.shape != (dims.n_u, dims.n_y):
-        raise ConfigError(
-            f"gain has shape {F.shape}, plant needs ({dims.n_u}, {dims.n_y})"
-        )
+        F = np.zeros((plant.dims.n_u, plant.dims.n_y))
     cl = close_loop(plant, F)
     level_set = hinf_norm(cl)
     grid = hinf_norm_grid(cl)

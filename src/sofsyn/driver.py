@@ -35,7 +35,7 @@ from .cma import (
 )
 from .errors import ConfigError, EigenSolveError
 from .local import default_local_params, run_local_batch
-from .model import PlantRealization, validate_plant
+from .model import PlantRealization
 from .objectives import Evaluation, FitnessConfig, ObjectiveKind, PenaltyMode, evaluate_batch
 
 # Not called here, but bound: perfbench/tracing.py patches these names in this module.
@@ -256,7 +256,6 @@ def solve(
     use :func:`sofsyn.model.unflatten_gain` to recover the matrix from
     ``RunResult.best_alpha``.
     """
-    validate_plant(plant)
     fitness_cfg = config.fitness_config()
     kind = config.objective
 

@@ -11,13 +11,16 @@ and a static output feedback u = F y closes the loop to
     dx/dt = (A + B F C) x + B1 w
     z     = (C1 + D12 F C) x + D11 w.
 
+Both containers check the shapes and entries of their matrices when they
+are built, so every plant and closed loop that exists is valid.
+
 Decision vectors stack the gain matrix F column-major (the usual vec
 operator), so a candidate vector has length n_u * n_y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +30,8 @@ __all__ = [
     "Dims",
     "PlantRealization",
     "ClosedLoopRealization",
-    "validate_plant",
+    "PLANT_SHAPES",
+    "check_shapes",
     "close_loop",
     "flatten_gain",
     "unflatten_gain",
@@ -70,6 +74,47 @@ class Dims:
         return self.n_u * self.n_y
 
 
+#: Row- and column-count names of each plant matrix, in the order they are checked.
+PLANT_SHAPES = {
+    "A": ("n_x", "n_x"),
+    "B1": ("n_x", "n_w"),
+    "B": ("n_x", "n_u"),
+    "C1": ("n_z", "n_x"),
+    "D11": ("n_z", "n_w"),
+    "D12": ("n_z", "n_u"),
+    "C": ("n_y", "n_x"),
+}
+
+_CLOSED_LOOP_SHAPES = {
+    "A_F": ("n_x", "n_x"),
+    "B1": ("n_x", "n_w"),
+    "C_F": ("n_z", "n_x"),
+    "D11": ("n_z", "n_w"),
+}
+
+
+def check_shapes(matrices: dict, shapes: dict, sizes: dict | None = None) -> dict:
+    """Check the 2-d ``matrices`` named in ``shapes`` (name -> (row-count
+    name, column-count name)) and return the sizes: those given in ``sizes``,
+    and each other one read from the first matrix in ``shapes`` that has it.
+    Raises :class:`DimensionMismatchError`, then :class:`NonFiniteEntryError`,
+    naming the first bad matrix."""
+    sizes = dict(sizes or {})
+    for name, (rows, cols) in shapes.items():
+        shape = matrices[name].shape
+        sizes.setdefault(rows, shape[0])
+        sizes.setdefault(cols, shape[1])
+        if shape != (sizes[rows], sizes[cols]):
+            raise DimensionMismatchError(
+                f"matrix {name} has shape {shape[0]}x{shape[1]}, "
+                f"expected {sizes[rows]}x{sizes[cols]} ({rows}, {cols})"
+            )
+    for name in shapes:
+        if not np.all(np.isfinite(matrices[name])):
+            raise NonFiniteEntryError(f"matrix {name} contains non-finite entries")
+    return sizes
+
+
 def _as_matrix(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 2:
@@ -81,8 +126,9 @@ def _as_matrix(value, name: str) -> np.ndarray:
 class PlantRealization:
     """The seven matrices of an open-loop plant plus a name for reporting.
 
-    Shapes: A (n_x, n_x), B1 (n_x, n_w), B (n_x, n_u), C1 (n_z, n_x),
-    D11 (n_z, n_w), D12 (n_z, n_u), C (n_y, n_x).
+    Each matrix has the shape :data:`PLANT_SHAPES` gives it: building a plant
+    with a bad matrix raises as :func:`check_shapes` does, and ``dims`` holds
+    the sizes.
     """
 
     A: np.ndarray
@@ -93,25 +139,18 @@ class PlantRealization:
     D12: np.ndarray
     C: np.ndarray
     name: str = "unnamed"
+    dims: Dims = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for field in ("A", "B1", "B", "C1", "D11", "D12", "C"):
-            object.__setattr__(self, field, _as_matrix(getattr(self, field), field))
-
-    @property
-    def dims(self) -> Dims:
-        return Dims(
-            n_x=self.A.shape[0],
-            n_w=self.B1.shape[1],
-            n_u=self.B.shape[1],
-            n_y=self.C.shape[0],
-            n_z=self.C1.shape[0],
-        )
+        for name in PLANT_SHAPES:
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
+        object.__setattr__(self, "dims", Dims(**check_shapes(vars(self), PLANT_SHAPES)))
 
 
 @dataclass(frozen=True)
 class ClosedLoopRealization:
-    """State-space data of the closed loop from w to z."""
+    """State-space data of the closed loop from w to z, checked when built
+    as a plant is."""
 
     A_F: np.ndarray
     B1: np.ndarray
@@ -119,64 +158,9 @@ class ClosedLoopRealization:
     D11: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A_F", _as_matrix(self.A_F, "A_F"))
-        object.__setattr__(self, "B1", _as_matrix(self.B1, "B1"))
-        object.__setattr__(self, "C_F", _as_matrix(self.C_F, "C_F"))
-        object.__setattr__(self, "D11", _as_matrix(self.D11, "D11"))
-        n_x = self.A_F.shape[0]
-        if self.A_F.shape != (n_x, n_x):
-            raise DimensionMismatchError(f"A_F must be square, got {self.A_F.shape}")
-        if self.B1.shape[0] != n_x:
-            raise DimensionMismatchError(f"B1 has {self.B1.shape[0]} rows, expected {n_x}")
-        if self.C_F.shape[1] != n_x:
-            raise DimensionMismatchError(f"C_F has {self.C_F.shape[1]} columns, expected {n_x}")
-        if self.D11.shape != (self.C_F.shape[0], self.B1.shape[1]):
-            raise DimensionMismatchError(
-                f"D11 shape {self.D11.shape} inconsistent with C_F/B1 "
-                f"({self.C_F.shape[0]}x{self.B1.shape[1]} expected)"
-            )
-        for field in ("A_F", "B1", "C_F", "D11"):
-            if not np.all(np.isfinite(getattr(self, field))):
-                raise NonFiniteEntryError(f"{field} contains non-finite entries")
-
-
-def validate_plant(plant: PlantRealization) -> PlantRealization:
-    """Check shape consistency and finiteness of all plant matrices.
-
-    Returns the plant unchanged on success.
-
-    Raises
-    ------
-    DimensionMismatchError
-        Naming the first offending matrix.
-    NonFiniteEntryError
-        If any entry is NaN or infinite.
-    """
-    n_x = plant.A.shape[0]
-    if plant.A.shape != (n_x, n_x):
-        raise DimensionMismatchError(f"A must be square, got {plant.A.shape}")
-    n_w = plant.B1.shape[1]
-    n_u = plant.B.shape[1]
-    n_y = plant.C.shape[0]
-    n_z = plant.C1.shape[0]
-    expected = {
-        "B1": (n_x, n_w),
-        "B": (n_x, n_u),
-        "C1": (n_z, n_x),
-        "D11": (n_z, n_w),
-        "D12": (n_z, n_u),
-        "C": (n_y, n_x),
-    }
-    for name, shape in expected.items():
-        actual = getattr(plant, name).shape
-        if actual != shape:
-            raise DimensionMismatchError(f"{name} has shape {actual}, expected {shape}")
-    for name in ("A", "B1", "B", "C1", "D11", "D12", "C"):
-        if not np.all(np.isfinite(getattr(plant, name))):
-            raise NonFiniteEntryError(f"{name} contains non-finite entries")
-    # triggers the Dims invariant checks (all counts >= 1)
-    plant.dims
-    return plant
+        for name in _CLOSED_LOOP_SHAPES:
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
+        check_shapes(vars(self), _CLOSED_LOOP_SHAPES)
 
 
 def close_loop(plant: PlantRealization, gain: np.ndarray) -> ClosedLoopRealization:

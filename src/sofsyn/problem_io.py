@@ -3,15 +3,18 @@
 A plant file is a plain-text document. Blank lines and ``#`` comments are
 ignored. The remaining content must contain, in any order after the header:
 
-    name <identifier>
+    name <token>
     dims <n_x> <n_w> <n_u> <n_y> <n_z>
     matrix <NAME> <rows> <cols>
     <rows*cols numbers, whitespace separated, row-major>
 
 with exactly one ``matrix`` block per plant matrix (A, B1, B, C1, D11,
-D12, C). Duplicate or missing blocks, shape mismatches against ``dims``,
-and non-numeric or non-finite entries are rejected. Writers emit 17
-significant digits so files round-trip doubles exactly.
+D12, C). Duplicate or missing blocks, shape mismatches against ``dims``
+(the shapes of :data:`sofsyn.model.PLANT_SHAPES`), and non-numeric or
+non-finite entries are rejected, naming the line or the matrix. The name
+is one token with no whitespace and no ``#``; the writer refuses any other
+name, since it would not read back. Writers emit 17 significant digits so
+files round-trip doubles exactly.
 """
 
 from __future__ import annotations
@@ -20,22 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ProblemFileError
-from .model import PlantRealization, validate_plant
+from .errors import DimensionMismatchError, ProblemFileError
+from .model import PLANT_SHAPES, PlantRealization, check_shapes
 
 __all__ = ["load_problem", "parse_problem", "save_problem", "format_problem"]
 
-MATRIX_NAMES = ("A", "B1", "B", "C1", "D11", "D12", "C")
-
-_EXPECTED_SHAPES = {
-    "A": ("n_x", "n_x"),
-    "B1": ("n_x", "n_w"),
-    "B": ("n_x", "n_u"),
-    "C1": ("n_z", "n_x"),
-    "D11": ("n_z", "n_w"),
-    "D12": ("n_z", "n_u"),
-    "C": ("n_y", "n_x"),
-}
+MATRIX_NAMES = tuple(PLANT_SHAPES)
 
 
 class _TokenStream:
@@ -80,7 +73,7 @@ def _parse_float(stream: _TokenStream, what: str) -> float:
 
 
 def parse_problem(text: str, source: str = "<string>") -> PlantRealization:
-    """Parse plant-file text into a validated :class:`PlantRealization`."""
+    """Parse plant-file text into a :class:`PlantRealization`."""
     stream = _TokenStream(text)
     name = None
     dims = None
@@ -95,10 +88,10 @@ def parse_problem(text: str, source: str = "<string>") -> PlantRealization:
         elif keyword == "dims":
             if dims is not None:
                 raise ProblemFileError(f"line {lineno}: duplicate 'dims' field")
-            dims = tuple(
-                _parse_int(stream, f"dims ({field})")
-                for field in ("n_x", "n_w", "n_u", "n_y", "n_z")
-            )
+            dims = {
+                size: _parse_int(stream, f"dims ({size})")
+                for size in ("n_x", "n_w", "n_u", "n_y", "n_z")
+            }
         elif keyword == "matrix":
             mat_name, name_line = stream.next("matrix name")
             if mat_name not in MATRIX_NAMES:
@@ -126,23 +119,15 @@ def parse_problem(text: str, source: str = "<string>") -> PlantRealization:
     if missing:
         raise ProblemFileError(f"{source}: missing matrix block(s): {', '.join(missing)}")
 
-    n_x, n_w, n_u, n_y, n_z = dims
-    sizes = {"n_x": n_x, "n_w": n_w, "n_u": n_u, "n_y": n_y, "n_z": n_z}
-    for mat_name, (rfield, cfield) in _EXPECTED_SHAPES.items():
-        expected = (sizes[rfield], sizes[cfield])
-        actual = matrices[mat_name].shape
-        if actual != expected:
-            raise ProblemFileError(
-                f"{source}: matrix {mat_name} has shape {actual[0]}x{actual[1]}, "
-                f"expected {expected[0]}x{expected[1]} ({rfield}x{cfield})"
-            )
-
-    plant = PlantRealization(name=name, **matrices)
-    return validate_plant(plant)
+    try:
+        check_shapes(matrices, PLANT_SHAPES, dims)
+    except DimensionMismatchError as exc:
+        raise ProblemFileError(f"{source}: {exc}") from exc
+    return PlantRealization(name=name, **matrices)
 
 
 def load_problem(path) -> PlantRealization:
-    """Load and validate a plant file from disk."""
+    """Load a plant file from disk."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -152,7 +137,10 @@ def load_problem(path) -> PlantRealization:
 
 
 def format_problem(plant: PlantRealization) -> str:
-    """Render a plant as file text with full double precision."""
+    """Render a plant as file text with full double precision; raises
+    :class:`ProblemFileError` unless its name is one token without spaces or ``#``."""
+    if plant.name.split() != [plant.name] or "#" in plant.name:
+        raise ProblemFileError(f"plant name {plant.name!r} is not one token without spaces or '#'")
     dims = plant.dims
     lines = [
         f"name {plant.name}",
@@ -167,6 +155,5 @@ def format_problem(plant: PlantRealization) -> str:
 
 
 def save_problem(plant: PlantRealization, path) -> None:
-    """Validate and write a plant file."""
-    validate_plant(plant)
+    """Write a plant file (see :func:`format_problem`)."""
     Path(path).write_text(format_problem(plant))

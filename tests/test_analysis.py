@@ -729,7 +729,7 @@ def _stacks_to_solve(rng):
             A_F, C_F, B1, D11 = stable_random_batch(rng, n_x, 5, feedthrough=feedthrough)
             d_norm = np.linalg.svd(D11, compute_uv=False)[0]
             g2 = (d_norm + 10.0 ** rng.uniform(-2, 1, 5)) ** 2
-            yield analysis._hamiltonians(A_F, C_F, B1, D11)(np.arange(5), g2[:, None, None])
+            yield analysis._hamiltonians(A_F, C_F, B1, D11, g2[:, None, None])
 
 
 def test_dgeev_stack_matches_per_matrix_calls():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import statistics
 
 import pytest
@@ -134,6 +135,45 @@ def test_campaign_json_roundtrip_with_inf(tmp_path):
     assert math.isnan(back_sums[0].std)
     doc = json.loads(path.read_text())
     assert doc["rows"][0]["objective"] == "inf"
+
+
+def _written(tmp_path, kind: str, edit) -> tuple:
+    """A one-row campaign written as ``kind`` ("json" or "csv") and passed
+    through ``edit`` (JSON: the parsed document; CSV: the text)."""
+    rows = [make_row()]
+    path = tmp_path / f"campaign.{kind}"
+    if kind == "json":
+        write_campaign_json(rows, [summarize("p", rows)], path)
+        path.write_text(edit(json.loads(path.read_text())))
+        return read_campaign_json, path
+    write_rows_csv(rows, path)
+    path.write_text(edit(path.read_text()))
+    return read_rows_csv, path
+
+
+def _drop_run_index(doc):
+    del doc["rows"][0]["run_index"]
+    return json.dumps(doc)
+
+
+def _bad_json_bool(doc):
+    doc["rows"][0]["feasible"] = "yes"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("json", lambda doc: json.dumps({"format": "sofsyn.campaign"})),
+    ("json", lambda doc: "[]"),
+    ("json", lambda doc: "this is not JSON"),
+    ("json", _drop_run_index),
+    ("json", _bad_json_bool),
+    ("csv", lambda text: text.replace(",seed,", ",").replace(",0,1.0,", ",1.0,")),
+    ("csv", lambda text: text.replace(",true,", ",yes,")),
+], ids=["no-rows", "list", "not-json", "no-run_index", "json-bool", "csv-no-seed", "csv-bool"])
+def test_malformed_campaign_files_raise_config_error(tmp_path, kind, edit):
+    read, path = _written(tmp_path, kind, edit)
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        read(path)
 
 
 def test_summary_matches_independent_recompute(tmp_path):

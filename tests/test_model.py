@@ -1,15 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sofsyn.errors import DimensionMismatchError, NonFiniteEntryError
+from sofsyn.errors import DimensionMismatchError, NonFiniteEntryError, ProblemFileError
 from sofsyn.model import (
+    PLANT_SHAPES,
+    ClosedLoopRealization,
     Dims,
     PlantRealization,
+    check_shapes,
     close_loop,
     flatten_gain,
     unflatten_gain,
-    validate_plant,
 )
+from sofsyn.problem_io import parse_problem
 
 
 def random_plant(rng, n_x=3, n_w=2, n_u=2, n_y=2, n_z=2, name="random"):
@@ -41,40 +46,77 @@ def test_minimal_siso_plant_accepted():
     plant = PlantRealization(
         A=[[-1.0]], B1=[[1.0]], B=[[1.0]], C1=[[1.0]], D11=[[0.0]], D12=[[0.0]], C=[[1.0]]
     )
-    assert validate_plant(plant) is plant
+    assert check_shapes(vars(plant), PLANT_SHAPES) == dataclasses.asdict(plant.dims)
     assert plant.dims == Dims(1, 1, 1, 1, 1)
     assert plant.dims.n == 1
 
 
-def test_inconsistent_b_shape_rejected_naming_matrix():
+#: For random_plant's default sizes (n_x 3, n_w 2, n_u 2, n_y 2, n_z 2), a
+#: shape per matrix that disagrees with a size an earlier matrix fixed.
+BAD_SHAPES = {
+    "A": (3, 4), "B1": (4, 2), "B": (4, 2), "C1": (2, 4), "D11": (3, 2), "D12": (2, 3),
+    "C": (2, 4), "A_F": (3, 4), "C_F": (2, 4),
+}
+
+
+def plant_text(matrices: dict) -> str:
+    """A plant file declaring random_plant's default dims, whatever the matrices' shapes."""
+    lines = ["name bad", "dims 3 2 2 2 2"]
+    for name, M in matrices.items():
+        lines.append(f"matrix {name} {M.shape[0]} {M.shape[1]}")
+        lines += [" ".join(map(repr, row)) for row in M.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", list(PLANT_SHAPES))
+def test_inconsistent_shape_rejected_naming_matrix(name):
     rng = np.random.default_rng(0)
     plant = random_plant(rng)
-    bad = PlantRealization(
-        A=plant.A, B1=plant.B1, B=rng.standard_normal((4, 2)),
-        C1=plant.C1, D11=plant.D11, D12=plant.D12, C=plant.C,
-    )
-    with pytest.raises(DimensionMismatchError, match="B"):
-        validate_plant(bad)
+    matrices = {m: getattr(plant, m) for m in PLANT_SHAPES}
+    matrices[name] = rng.standard_normal(BAD_SHAPES[name])
+    with pytest.raises(DimensionMismatchError, match=rf"matrix {name} has shape"):
+        PlantRealization(**matrices)
+    with pytest.raises(ProblemFileError, match=rf"matrix {name} has shape"):
+        parse_problem(plant_text(matrices))
+
+
+@pytest.mark.parametrize("name", ["A_F", "B1", "C_F", "D11"])
+def test_closed_loop_shape_rejected_naming_matrix(name):
+    rng = np.random.default_rng(8)
+    cl = close_loop(random_plant(rng), rng.standard_normal((2, 2)))
+    matrices = {m: getattr(cl, m) for m in ("A_F", "B1", "C_F", "D11")}
+    matrices[name] = rng.standard_normal(BAD_SHAPES[name])
+    with pytest.raises(DimensionMismatchError, match=rf"matrix {name} has shape"):
+        ClosedLoopRealization(**matrices)
+    matrices[name] = np.full(getattr(cl, name).shape, np.inf)
+    with pytest.raises(NonFiniteEntryError, match=rf"matrix {name} contains"):
+        ClosedLoopRealization(**matrices)
+
+
+def test_replace_checks_the_new_plant_and_keeps_dims():
+    plant = random_plant(np.random.default_rng(9))
+    with pytest.raises(DimensionMismatchError, match="matrix B has shape"):
+        dataclasses.replace(plant, B=np.zeros(BAD_SHAPES["B"]))
+    renamed = dataclasses.replace(plant, name="x")
+    assert renamed.name == "x" and renamed.dims == plant.dims
 
 
 def test_inconsistent_d12_shape_rejected():
     rng = np.random.default_rng(1)
     plant = random_plant(rng)
-    bad = PlantRealization(
-        A=plant.A, B1=plant.B1, B=plant.B, C1=plant.C1, D11=plant.D11,
-        D12=rng.standard_normal((2, 3)), C=plant.C,
-    )
     with pytest.raises(DimensionMismatchError, match="D12"):
-        validate_plant(bad)
+        PlantRealization(
+            A=plant.A, B1=plant.B1, B=plant.B, C1=plant.C1, D11=plant.D11,
+            D12=rng.standard_normal((2, 3)), C=plant.C,
+        )
 
 
 def test_nan_entry_rejected():
     A = np.array([[np.nan]])
-    plant = PlantRealization(
-        A=A, B1=[[1.0]], B=[[1.0]], C1=[[1.0]], D11=[[0.0]], D12=[[0.0]], C=[[1.0]]
-    )
     with pytest.raises(NonFiniteEntryError, match="A"):
-        validate_plant(plant)
+        PlantRealization(
+            A=A, B1=[[1.0]], B=[[1.0]], C1=[[1.0]], D11=[[0.0]], D12=[[0.0]], C=[[1.0]]
+        )
 
 
 def test_close_loop_scalar():

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sofsyn import builtin_plant_path
 from sofsyn.errors import ProblemFileError
-from sofsyn.model import PlantRealization, validate_plant
+from sofsyn.model import PLANT_SHAPES, PlantRealization, check_shapes
 from sofsyn.problem_io import format_problem, load_problem, parse_problem, save_problem
 
 MINIMAL = """
@@ -123,7 +125,7 @@ def test_comments_and_blank_lines_ignored():
 )
 def test_builtin_plants_load_and_validate(name):
     plant = load_problem(builtin_plant_path(name))
-    assert validate_plant(plant) is plant
+    assert check_shapes(vars(plant), PLANT_SHAPES) == dataclasses.asdict(plant.dims)
     assert plant.name == name
 
 
@@ -132,3 +134,18 @@ def test_format_emits_17_significant_digits():
     object.__setattr__(plant, "A", np.array([[-1.0 / 3.0]]))
     text = format_problem(plant)
     assert "-0.33333333333333331" in text
+
+
+@pytest.mark.parametrize("name", ["my plant", "a#b", "", "synth8_d11_0"])
+def test_saved_name_reads_back_or_is_refused(tmp_path, name):
+    """A name that is not one whitespace-free token without '#' would not
+    read back (or would read back cut short), so writing it is refused."""
+    plant = dataclasses.replace(load_problem(builtin_plant_path("first_order_lag")), name=name)
+    path = tmp_path / "named.plant"
+    if name == "synth8_d11_0":
+        save_problem(plant, path)
+        assert load_problem(path).name == name
+    else:
+        with pytest.raises(ProblemFileError, match="plant name"):
+            save_problem(plant, path)
+        assert not path.exists()
