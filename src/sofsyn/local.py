@@ -5,9 +5,11 @@ global one); the parent is replaced only by strictly better offspring.
 The step size follows a smoothed success rate toward the 2/11 target and
 the covariance adapts along the path of accepted steps, with the path
 update suppressed while the success rate is high (those steps carry
-little directional information). Several candidates refine in lockstep,
-one array per state field with a row per candidate, so that each step
-scores all of their offspring in one batch.
+little directional information). The covariance is held as a factor and
+its inverse, both updated rank-one per accepted step (Igel et al. 2006;
+Suttorp et al. 2009), so it stays positive definite. Several candidates
+refine in lockstep, one array per state field with a row per candidate,
+so that each step scores all of their offspring in one batch.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cma import enforce_spd
-from .errors import EigenSolveError
+from .cma import enforce_spd  # noqa: F401  (not called; perfbench/tracing.py patches it here)
 
 __all__ = [
     "LocalParams",
@@ -65,18 +66,14 @@ def default_local_params(n: int) -> LocalParams:
 
 @dataclass
 class LocalState:
-    """Refinement state of m candidates, row i being candidate i.
-
-    ``chol[i]`` is the Cholesky factor of ``cov[i]`` unless ``stale[i]``
-    is set, which marks a covariance changed since it was last factored.
-    """
+    """Refinement state of m candidates, row i being candidate i, whose
+    covariance is ``A[i] @ A[i].T`` and ``A_inv[i]`` the inverse of ``A[i]``."""
 
     parent: np.ndarray  # (m, n)
     parent_fitness: np.ndarray  # (m,)
     sigma_loc: np.ndarray  # (m,)
-    cov: np.ndarray  # (m, n, n)
-    chol: np.ndarray  # (m, n, n)
-    stale: np.ndarray  # (m,) bool
+    A: np.ndarray  # (m, n, n)
+    A_inv: np.ndarray  # (m, n, n)
     path_c: np.ndarray  # (m, n)
     success_rate: np.ndarray  # (m,)
     v_succ: np.ndarray  # (m,) 0 or 1
@@ -94,9 +91,8 @@ def init_local(parents, fitnesses, global_sigma: float) -> LocalState:
         parent=parent,
         parent_fitness=np.array(fitnesses, dtype=float).reshape(m),
         sigma_loc=np.full(m, global_sigma / 10.0),
-        cov=np.tile(np.eye(n), (m, 1, 1)),
-        chol=np.empty((m, n, n)),
-        stale=np.ones(m, dtype=bool),
+        A=np.tile(np.eye(n), (m, 1, 1)),
+        A_inv=np.tile(np.eye(n), (m, 1, 1)),
         path_c=np.zeros((m, n)),
         success_rate=np.full(m, 2.0 / 11.0),
         v_succ=np.zeros(m, dtype=int),
@@ -104,21 +100,9 @@ def init_local(parents, fitnesses, global_sigma: float) -> LocalState:
 
 
 def sample_offspring(state: LocalState, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one offspring per row, parent + sigma_loc * L xi with L the
-    Cholesky factor of the row's covariance and ``xi`` (m, n) standard
-    normal; returns (offspring, perturbations L xi). Stale rows are
-    factored first, an unfactorable covariance being SPD-repaired once."""
-    for i in state.stale.nonzero()[0].tolist():
-        for attempt in range(2):
-            try:
-                state.chol[i] = np.linalg.cholesky(state.cov[i])
-                break
-            except np.linalg.LinAlgError:
-                if attempt:
-                    raise EigenSolveError("local covariance not factorizable after SPD repair")
-                state.cov[i] = enforce_spd(state.cov[i])
-    state.stale[:] = False
-    eps = (state.chol @ xi[:, :, None])[:, :, 0]
+    """Draw one offspring per row, parent + sigma_loc * A xi with ``xi``
+    (m, n) standard normal; returns (offspring, perturbations A xi)."""
+    eps = (state.A @ xi[:, :, None])[:, :, 0]
     return state.parent + state.sigma_loc[:, None] * eps, eps
 
 
@@ -142,12 +126,13 @@ def accept_and_adapt(
     """Elitist acceptance plus covariance adaptation on success.
 
     On a strict improvement the parent moves to the offspring and the
-    covariance absorbs the accepted step. While the success rate is below
-    the threshold the step enters through the evolution path; above it the
-    path only decays and the covariance update compensates the missing
-    variance instead. Failures change nothing but the success indicator.
-    Since the parent only moves on a strict improvement, it is always the
-    best point its row has seen.
+    covariance absorbs the accepted step, cov <- a cov + c_cov path path^T,
+    as a rank-one update of A and of A_inv. While the success rate is below
+    the threshold the step enters through the evolution path and
+    a = 1 - c_cov; above it the path only decays and a grows by
+    c_cov c_cth (2 - c_cth) to compensate the missing variance. Failures
+    change nothing but the success indicator. Since the parent only moves
+    on a strict improvement, it is always the best point its row has seen.
     """
     offspring_fitness = np.asarray(offspring_fitness, dtype=float)
     improved = offspring_fitness > state.parent_fitness
@@ -161,13 +146,16 @@ def accept_and_adapt(
     low = state.success_rate[rows] < params.p_threshold
     path = (1.0 - c_cth) * state.path_c[rows]
     path[low] += math.sqrt(c_cth * (2.0 - c_cth)) * eps[rows[low]]
-    cov = state.cov[rows]
-    outer = path[:, :, None] * path[:, None, :]
-    outer[~low] += c_cth * (2.0 - c_cth) * cov[~low]
-    cov = (1.0 - c_cov) * cov + c_cov * outer
+    a = np.where(low, 1.0 - c_cov, 1.0 - c_cov + c_cov * c_cth * (2.0 - c_cth))[:, None, None]
+    A, A_inv, p = state.A[rows], state.A_inv[rows], path[:, :, None]
+    w = A_inv @ p
+    w_t = w.transpose(0, 2, 1)
+    s = np.sqrt(1.0 + c_cov / a * (w_t @ w))
+    k = c_cov / a / (1.0 + s)
+    # outer products in parentheses: each row then rounds as it does alone
+    state.A[rows] = np.sqrt(a) * (A + k * (p * w_t))
+    state.A_inv[rows] = (A_inv - k / s * (w * (w_t @ A_inv))) / np.sqrt(a)
     state.path_c[rows] = path
-    state.cov[rows] = 0.5 * (cov + cov.transpose(0, 2, 1))
-    state.stale[rows] = True
 
 
 def run_local(

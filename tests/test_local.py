@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import sofsyn.local as local
 from sofsyn.local import (
     LocalParams,
     accept_and_adapt,
@@ -43,11 +42,11 @@ def test_init_local_state():
     assert state.sigma_loc == pytest.approx([0.03], rel=1e-15)
     assert state.success_rate == pytest.approx([2.0 / 11.0], rel=1e-15)
     np.testing.assert_array_equal(state.v_succ, [0])
-    np.testing.assert_array_equal(state.cov, [np.eye(2)])
+    np.testing.assert_array_equal(state.A, [np.eye(2)])
+    np.testing.assert_array_equal(state.A_inv, [np.eye(2)])
     np.testing.assert_array_equal(state.path_c, np.zeros((1, 2)))
     np.testing.assert_array_equal(state.parent_fitness, [-3.0])
     np.testing.assert_array_equal(state.parent, [[1.0, 2.0]])
-    np.testing.assert_array_equal(state.stale, [True])
 
 
 def test_sample_identity_covariance_passes_xi_through():
@@ -68,17 +67,9 @@ def test_sample_zero_xi_returns_parent():
 
 def test_sample_diagonal_cholesky():
     state = one_row(np.zeros(2))
-    state.cov[0] = np.diag([4.0, 1.0])
+    state.A[0] = np.diag([2.0, 1.0])
     _, eps = sample_offspring(state, np.ones((1, 2)))
     np.testing.assert_array_equal(eps, [[2.0, 1.0]])
-
-
-def test_sample_repairs_broken_covariance():
-    state = one_row(np.zeros(2))
-    state.cov[0] = np.array([[1.0, 0.0], [0.0, -1.0]])  # indefinite
-    offspring, eps = sample_offspring(state, np.ones((1, 2)))
-    assert np.all(np.isfinite(offspring))
-    assert np.linalg.eigvalsh(state.cov).min() > 0
 
 
 def test_sigma_stationary_at_target_rate():
@@ -126,12 +117,13 @@ def test_reject_worse_offspring_changes_only_v_succ():
     params = default_local_params(2)
     state = one_row([1.0, 1.0], 5.0)
     state.v_succ[:] = 1
-    before_cov = state.cov.copy()
+    before = state.A.copy(), state.A_inv.copy(), state.path_c.copy()
     accept_and_adapt(state, np.array([[0.0, 0.0]]), [4.9], np.array([[0.1, 0.1]]), params)
     assert state.v_succ == [0]
     np.testing.assert_array_equal(state.parent, [[1.0, 1.0]])
     assert state.parent_fitness == [5.0]
-    np.testing.assert_array_equal(state.cov, before_cov)
+    for after, was in zip((state.A, state.A_inv, state.path_c), before):
+        np.testing.assert_array_equal(after, was)
 
 
 def test_equal_fitness_is_rejected():
@@ -150,7 +142,8 @@ def test_accept_above_threshold_covariance_formula():
     eps = np.array([[1.0, -1.0, 0.5, 0.0]])
     accept_and_adapt(state, eps.copy(), [1.0], eps, params)
     factor = 1.0 - params.c_cov + params.c_cov * params.c_cth * (2.0 - params.c_cth)
-    np.testing.assert_allclose(state.cov, [factor * np.eye(n)], rtol=1e-14)
+    np.testing.assert_allclose(state.A, [math.sqrt(factor) * np.eye(n)], rtol=1e-14)
+    np.testing.assert_allclose(state.A_inv, [np.eye(n) / math.sqrt(factor)], rtol=1e-14)
     np.testing.assert_array_equal(state.path_c, np.zeros((1, n)))
     assert state.v_succ == [1]
 
@@ -167,22 +160,36 @@ def test_accept_below_threshold_path_formula():
     expected_cov = (1.0 - params.c_cov) * np.eye(n) + params.c_cov * np.outer(
         expected_path, expected_path
     )
-    np.testing.assert_allclose(state.cov, [expected_cov], rtol=1e-14)
+    A = state.A[0]
+    np.testing.assert_allclose(A @ A.T, expected_cov, rtol=1e-14)
+    np.testing.assert_allclose(state.A_inv[0] @ A, np.eye(n), atol=1e-15)
 
 
-def test_covariance_stays_symmetric_spd_under_stress():
-    n = 3
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_factors_follow_the_covariance_recursion(n):
+    """Over 500 accepted steps at random success rates, on both sides of
+    the threshold, A A^T tracks the covariance recursion the factor update
+    stands for, and A_inv stays the inverse of A."""
     params = default_local_params(n)
+    c_cth, c_cov = params.c_cth, params.c_cov
     state = one_row(np.zeros(n))
+    cov = np.eye(n)
     rng = np.random.default_rng(41)
-    fitness = 0.0
-    for _ in range(500):
+    branches = set()
+    for step in range(1, 501):
         eps = rng.standard_normal((1, n))
-        fitness += 1.0
-        state.success_rate[:] = float(rng.uniform(0, 1))
-        accept_and_adapt(state, state.parent + 0.1 * eps, [fitness], eps, params)
-        assert np.max(np.abs(state.cov[0] - state.cov[0].T)) <= 1e-12
-        assert np.linalg.eigvalsh(state.cov[0]).min() > 0
+        rate = state.success_rate[0] = float(rng.uniform(0, 1))
+        accept_and_adapt(state, state.parent + 0.1 * eps, [float(step)], eps, params)
+        path = state.path_c[0]
+        outer = np.outer(path, path)
+        if rate >= params.p_threshold:
+            outer += c_cth * (2.0 - c_cth) * cov
+        cov = (1.0 - c_cov) * cov + c_cov * outer
+        branches.add(rate < params.p_threshold)
+        A = state.A[0]
+        assert np.linalg.norm(A @ A.T - cov) <= 1e-12 * np.linalg.norm(cov)
+        assert np.linalg.norm(state.A_inv[0] @ A - np.eye(n)) <= 1e-10
+    assert branches == {True, False}
 
 
 def test_run_local_budget_exactness_and_no_false_improvement():
@@ -243,42 +250,19 @@ def test_run_local_deterministic():
     assert out1[1] == out2[1]
 
 
-def test_sample_offspring_factors_each_covariance_once(monkeypatch):
-    calls = 0
-    cholesky = np.linalg.cholesky
+def test_lockstep_makes_no_linear_algebra_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
 
-    def counting(a):
-        nonlocal calls
-        calls += 1
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    params = default_local_params(2)
-    state = one_row(np.zeros(2))
-    for _ in range(3):
-        sample_offspring(state, np.zeros((1, 2)))
-    assert calls == 1
-    state.cov[0] = np.diag([4.0, 1.0])
-    state.stale[0] = True
-    _, eps = sample_offspring(state, np.ones((1, 2)))
-    np.testing.assert_array_equal(eps, [[2.0, 1.0]])
-    assert calls == 2
-    # a rejected step keeps the covariance, an accepted one changes it
-    offspring, eps = sample_offspring(state, np.array([[1.0, 0.0]]))
-    accept_and_adapt(state, offspring, [-1.0], eps, params)
-    sample_offspring(state, np.zeros((1, 2)))
-    assert calls == 2
-    accept_and_adapt(state, offspring, [1.0], eps, params)
-    sample_offspring(state, np.zeros((1, 2)))
-    assert calls == 3
-    # of several rows, only those whose step was accepted are refactored
-    state = init_local(np.zeros((4, 2)), [0.0] * 4, 1.0)
-    offspring, eps = sample_offspring(state, np.ones((4, 2)))
-    assert calls == 7
-    accept_and_adapt(state, offspring, [1.0, -1.0, 1.0, 0.0], eps, params)
-    np.testing.assert_array_equal(state.stale, [True, False, True, False])
-    sample_offspring(state, np.zeros((4, 2)))
-    assert calls == 9 and not state.stale.any()
+    for name in ("cholesky", "eigh", "solve", "inv", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    starts = np.random.default_rng(34).standard_normal((5, 4))
+    out = run_local_batch(
+        starts, [_rugged(x) for x in starts], 0.8, 40,
+        lambda X, floors: [_rugged(x) for x in X],
+        [np.random.default_rng([35, i]) for i in range(5)],
+    )
+    assert len(out) == 5
 
 
 def _bits(alpha, fitness):
@@ -289,27 +273,19 @@ def _rugged(x):
     return -float(np.sum((x - 0.7) ** 2)) + 0.3 * math.sin(25.0 * float(np.sum(x)))
 
 
-def reference_run_local(alpha, fitness, global_sigma, budget, fitness_fn, rng, break_at=0):
+def reference_run_local(alpha, fitness, global_sigma, budget, fitness_fn, rng):
     """The (1+1) refinement of one candidate written as a plain loop, on
-    scalars and one covariance that is refactored after each accepted step:
-    the arithmetic every row of run_local_batch must reproduce bit for bit.
-    With ``break_at`` > 0 the covariance is made indefinite right after
-    that many accepted steps, so that the next draw SPD-repairs it."""
+    scalars and one factor of the covariance with its inverse: the
+    arithmetic every row of run_local_batch must reproduce bit for bit."""
     n = len(alpha)
     params = default_local_params(n)
     c_p, c_cth, c_cov = params.c_p, params.c_cth, params.c_cov
     ratio = params.p_target / (1.0 - params.p_target)
     parent, parent_fitness = np.array(alpha, dtype=float), float(fitness)
-    sigma, rate, v_succ, accepted = global_sigma / 10.0, 2.0 / 11.0, 0, 0
-    cov, path, chol = np.eye(n), np.zeros(n), None
+    sigma, rate, v_succ = global_sigma / 10.0, 2.0 / 11.0, 0
+    A, A_inv, path = np.eye(n), np.eye(n), np.zeros(n)
     for _ in range(budget):
-        if chol is None:
-            try:
-                chol = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                cov = local.enforce_spd(cov)
-                chol = np.linalg.cholesky(cov)
-        eps = chol @ rng.standard_normal(n)
+        eps = A @ rng.standard_normal(n)
         offspring = parent + sigma * eps
         rate = (1.0 - c_p) * rate + c_p * v_succ
         sigma *= math.exp((1.0 / params.d) * (rate - ratio * (1.0 - rate)))
@@ -320,49 +296,27 @@ def reference_run_local(alpha, fitness, global_sigma, budget, fitness_fn, rng, b
         parent, parent_fitness = offspring, value
         if rate < params.p_threshold:
             path = (1.0 - c_cth) * path + math.sqrt(c_cth * (2.0 - c_cth)) * eps
-            cov = (1.0 - c_cov) * cov + c_cov * np.outer(path, path)
+            a = 1.0 - c_cov
         else:
             path = (1.0 - c_cth) * path
-            cov = (1.0 - c_cov) * cov + c_cov * (
-                np.outer(path, path) + c_cth * (2.0 - c_cth) * cov
-            )
-        cov = 0.5 * (cov + cov.T)
-        accepted += 1
-        if accepted == break_at:
-            cov[0, 0] = -cov[0, 0]  # a negative diagonal entry: indefinite
-        chol = None
+            a = 1.0 - c_cov + c_cov * c_cth * (2.0 - c_cth)
+        w = A_inv @ path
+        s = math.sqrt(1.0 + c_cov / a * (w @ w))
+        k = c_cov / a / (1.0 + s)
+        A = math.sqrt(a) * (A + k * np.outer(path, w))
+        A_inv = (A_inv - k / s * np.outer(w, w @ A_inv)) / math.sqrt(a)
     return parent, parent_fitness
 
 
 SHAPES = [(n, k) for n in (1, 2, 4, 16) for k in (1, 5)]
 
 
-@pytest.mark.parametrize("spd_repair", [False, True])
-def test_lockstep_matches_run_local_per_candidate(monkeypatch, spd_repair):
+def test_lockstep_matches_run_local_per_candidate():
     """Each lockstep candidate ends exactly where reference_run_local takes
     it alone on the same RNG substream, for n in {1, 2, 4, 16} and k in
-    {1, 5} candidates, also when its covariance is broken and repaired
-    partway through; run_local, the k = 1 case, too."""
-    repairs = []
-    accepted = [None]  # per row of the running batch, its accepted steps
-    if spd_repair:
-        accept, enforce = local.accept_and_adapt, local.enforce_spd
-
-        def breaking_accept(state, offspring, values, eps, params):
-            accept(state, offspring, values, eps, params)
-            accepted[0] = accepted[0] + state.v_succ
-            state.cov[(accepted[0] == 2) & (state.v_succ == 1), 0, 0] *= -1.0
-
-        def counting_enforce(cov):
-            repairs.append(1)
-            return enforce(cov)
-
-        monkeypatch.setattr(local, "accept_and_adapt", breaking_accept)
-        monkeypatch.setattr(local, "enforce_spd", counting_enforce)
-
+    {1, 5} candidates; run_local, the k = 1 case, too."""
     rng = np.random.default_rng(30)
     budget = 40
-    repaired = 0
     for n, k in SHAPES:
         starts = rng.standard_normal((k, n))
         fits = [_rugged(x) for x in starts]
@@ -377,29 +331,22 @@ def test_lockstep_matches_run_local_per_candidate(monkeypatch, spd_repair):
             best_so_far[:] = [max(b, v) for b, v in zip(best_so_far, values)]
             return values
 
-        accepted[0] = 0
-        repairs.clear()
-        together = local.run_local_batch(
+        together = run_local_batch(
             starts, fits, 0.8, budget, score_batch,
             [np.random.default_rng([31, n, i]) for i in range(k)],
         )
         assert batch_sizes == [k] * budget
-        repairs_together = len(repairs)
         alone = [
             reference_run_local(starts[i], fits[i], 0.8, budget, _rugged,
-                                np.random.default_rng([31, n, i]), 2 * spd_repair)
+                                np.random.default_rng([31, n, i]))
             for i in range(k)
         ]
         assert [_bits(*t) for t in together] == [_bits(*t) for t in alone]
-        assert len(repairs) == 2 * repairs_together
-        repaired += repairs_together
         if k == 1:
-            accepted[0] = 0
             alpha, fit, used = run_local(
                 starts[0], fits[0], 0.8, budget, _rugged, np.random.default_rng([31, n, 0])
             )
             assert used == budget and _bits(alpha, fit) == _bits(*alone[0])
-    assert repaired >= len(SHAPES) if spd_repair else repaired == 0
 
 def test_lockstep_returns_the_best_score_object():
     starts = np.array([[0.0, 0.0], [2.0, 2.0]])
