@@ -91,6 +91,8 @@ class SolverConfig:
             raise ConfigError(f"sigma0 must be in [{cma.SIGMA_MIN:g}, {cma.SIGMA_MAX:g}]")
         if not self.seed >= 0:
             raise ConfigError("seed must be nonnegative")
+        if self.initial_mean is not None and not np.isfinite(self.initial_mean).all():
+            raise ConfigError("initial_mean must be finite")
         if not self.threads >= 1:
             raise ConfigError("threads must be >= 1")
         self.fitness_config()

@@ -210,6 +210,13 @@ def test_initial_mean_shape_checked():
         solve_raw(lambda x: 0.0, 3, SolverConfig(t_max=100, initial_mean=np.zeros(2)))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_mean_rejected(value):
+    """A run would stay on a non-finite mean: every reset restarts there."""
+    with pytest.raises(ConfigError, match="initial_mean"):
+        SolverConfig(initial_mean=[value, 0.0])
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError):
         SolverConfig(seed=-1)
