@@ -328,25 +328,27 @@ def hinf_norms(A_F, C_F, B1, D11, poles, stop=None) -> list:
     (real parts, imaginary parts) of its eigenvalues, stacked as
     :func:`dgeev` returns them.
 
-    A row's lower bound starts at the largest of sigma_max(D11), the gain
-    at w = 0 and the gain at w = |lam| for each pole lam of A_F[r]. Each
-    round takes the imaginary-axis eigenvalues of the row's Hamiltonian at
-    gamma = (1 + NORM_REL_TOL) * bound (Boyd-Balakrishnan / Bruinsma-Steinbuch)
-    and raises the bound to the largest gain at those crossing frequencies
-    and at their midpoints. A row stops when no crossing remains, which
-    certifies its norm within [value, (1 + NORM_REL_TOL) * value], or when
-    the crossings raise no gain above the bound, which makes them rounding
-    error rather than gain. The rows run in lockstep on array state (the
-    bounds, peak frequencies and live rows are arrays): each round's
-    eigensolves are one stacked :func:`dgeev` call over the rows still
-    iterating, each stage's gains are one :func:`_sweep` in bounded chunks,
-    and every row gets the bits it would get alone. Overflow in a row's
-    Hamiltonian or gains raises no numpy warning; the row fails as below.
+    A row's lower bound starts at sigma_max(D11), and each round raises it
+    to the largest gain at the round's candidate frequencies. Round 0's
+    candidates are the pole probes: w = 0 and w = |lam| for each conjugate
+    pair of poles lam of A_F[r]. Each later round takes the imaginary-axis
+    eigenvalues of the row's Hamiltonian at gamma = (1 + NORM_REL_TOL) *
+    bound (Boyd-Balakrishnan / Bruinsma-Steinbuch), and its candidates are
+    those crossing frequencies and their midpoints. A row stops after
+    round 0 if its bound is 0, and after a later round when no crossing
+    remains, which certifies its norm within [value, (1 + NORM_REL_TOL) *
+    value], or when the crossings raise no gain above the bound, which
+    makes them rounding error rather than gain. The rows run in lockstep on
+    array state (the bounds, peak frequencies and live rows are arrays):
+    each round's eigensolves are one stacked :func:`dgeev` call over the
+    rows still iterating, each round's gains are one :func:`_sweep` in
+    bounded chunks, and every row gets the bits it would get alone.
+    Overflow in a row's Hamiltonian or gains raises no numpy warning; the
+    row fails as below.
 
     ``stop`` is an optional predicate on the array of all rows' lower
-    bounds that returns a mask of rows to stop; it is heeded for the rows
-    just probed or raised, after the pole probes and after each round. A
-    stopped row returns its bound as ``value``: a gain attained at
+    bounds that returns a mask of rows to stop; it is consulted after every
+    round. A stopped row returns its bound as ``value``: a gain attained at
     ``peak_frequency``, but possibly below the norm by more than
     ``NORM_REL_TOL``, with ``iterations`` 0 if it stops at the probe bound.
 
@@ -359,62 +361,50 @@ def hinf_norms(A_F, C_F, B1, D11, poles, stop=None) -> list:
     :class:`BracketError` if it has not stopped after 64 rounds.
     """
     results = [None] * len(A_F)
-    lo = np.zeros(len(A_F))
+    d_norm = float(np.linalg.svd(D11, compute_uv=False)[0]) if D11.any() else 0.0
+    lo = np.full(len(A_F), d_norm)
     peak = np.zeros(len(A_F))
-
-    def settle(act, done, gain, freq, iterations):
-        """Record the rows of ``act`` that are done or whose gain is NaN
-        (those fail); return the others."""
-        failed = np.isnan(gain)
-        for r, w in zip(act[failed].tolist(), freq[failed].tolist()):
-            results[r] = SingularResolventError(f"the gain at omega={w!r} cannot be computed")
-        for r in act[done & ~failed].tolist():
-            results[r] = HinfResult(float(lo[r]), float(peak[r]), iterations)
-        return act[~(done | failed)]
 
     finite = np.isfinite(C_F).all(axis=(1, 2))
     for r in np.flatnonzero(~finite).tolist():
         results[r] = NonFiniteEntryError("C_F contains non-finite entries")
     act = np.flatnonzero(finite)
+    # round 0's W: w = 0 and one probe per conjugate pair of poles (same |lam|)
     wr, wi = poles[0][act], poles[1][act]
+    W = np.sort(np.where(wi >= 0, np.hypot(wr, wi), np.inf), axis=1)
+    W = np.concatenate((np.zeros((len(act), 1)), W), axis=1)
 
-    # one probe per conjugate pair of poles: its partner has the same |lam|
-    probes = np.sort(np.where(wi >= 0, np.hypot(wr, wi), np.inf), axis=1)
-    probes = np.concatenate((np.zeros((len(act), 1)), probes), axis=1)
-    d_norm = float(np.linalg.svd(D11, compute_uv=False)[0]) if D11.any() else 0.0
-    gain, freq = _peaks(A_F, C_F, B1, D11, act, probes)
-    raised = gain > d_norm
-    lo[act] = np.where(raised, gain, d_norm)
-    peak[act] = np.where(raised, freq, 0.0)
-    # zero gain wherever sampled and no feedthrough: nothing to raise
-    done = lo[act] == 0.0
-    if stop is not None:
-        done |= stop(lo)[act]
-    act = settle(act, done, gain, freq, 0)
-
-    for iterations in range(1, 65):
+    for iterations in range(65):
+        if iterations:
+            gammas = (1.0 + NORM_REL_TOL) * lo[act]
+            H = _hamiltonians(A_F[act], C_F[act], B1, D11, (gammas * gammas)[:, None, None])
+            wr, wi = _spectra(H)
+            failed = np.isnan(wr[:, 0])
+            if failed.any():
+                msg = "dgeev failed to converge or met a non-finite entry"
+                for r in act[failed].tolist():
+                    results[r] = EigenSolveError(msg)
+                act, wr, wi = act[~failed], wr[~failed], wi[~failed]
+            # one crossing per conjugate pair: its partner has the same |Im lam|
+            on_axis = (np.abs(wr) <= IMAG_AXIS_RTOL * (1.0 + np.hypot(wr, wi))) & (wi >= 0)
+            freqs = np.sort(np.where(on_axis, np.abs(wi), np.inf), axis=1)
+            W = np.concatenate((freqs, 0.5 * (freqs[:, :-1] + freqs[:, 1:])), axis=1)
+        gain, freq = _peaks(A_F, C_F, B1, D11, act, W)
+        up = gain > lo[act]
+        lo[act[up]], peak[act[up]] = gain[up], freq[up]
+        # round 0: zero gain and no feedthrough leave nothing to raise; later:
+        # a row without crossings gets gain -inf, so it finishes here too
+        done = lo[act] == 0.0 if iterations == 0 else ~up
+        if stop is not None:
+            done |= stop(lo)[act]
+        failed = np.isnan(gain)
+        for r, w in zip(act[failed].tolist(), freq[failed].tolist()):
+            results[r] = SingularResolventError(f"the gain at omega={w!r} cannot be computed")
+        for r in act[done & ~failed].tolist():
+            results[r] = HinfResult(float(lo[r]), float(peak[r]), iterations)
+        act = act[~(done | failed)]
         if not act.size:
             break
-        gammas = (1.0 + NORM_REL_TOL) * lo[act]
-        H = _hamiltonians(A_F[act], C_F[act], B1, D11, (gammas * gammas)[:, None, None])
-        wr, wi = _spectra(H)
-        failed = np.isnan(wr[:, 0])
-        if failed.any():
-            for r in act[failed].tolist():
-                results[r] = EigenSolveError("dgeev failed to converge or met a non-finite entry")
-            act, wr, wi = act[~failed], wr[~failed], wi[~failed]
-        # one crossing per conjugate pair: its partner has the same |Im lam|
-        on_axis = (np.abs(wr) <= IMAG_AXIS_RTOL * (1.0 + np.hypot(wr, wi))) & (wi >= 0)
-        freqs = np.sort(np.where(on_axis, np.abs(wi), np.inf), axis=1)
-        candidates = np.concatenate((freqs, 0.5 * (freqs[:, :-1] + freqs[:, 1:])), axis=1)
-        gain, freq = _peaks(A_F, C_F, B1, D11, act, candidates)
-        # a row without crossings gets gain -inf, so it finishes here too
-        done = ~(gain > lo[act])
-        raised = act[~done]
-        lo[raised], peak[raised] = gain[~done], freq[~done]
-        if stop is not None and raised.size:
-            done |= stop(lo)[act]
-        act = settle(act, done, gain, freq, iterations)
 
     for r, bound in zip(act.tolist(), lo[act].tolist()):
         results[r] = BracketError(

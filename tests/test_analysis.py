@@ -379,7 +379,7 @@ def test_hinf_given_poles_change_no_bit():
 def test_hinf_stop_returns_an_attained_lower_bound():
     """A stop test ends the call at the first bound it accepts: a gain
     attained at ``peak_frequency`` and at most the full value. The test is
-    applied after the pole probes and after every raise of the bound, and a
+    applied after every round, the pole probes of round 0 included, and a
     test that never holds changes no bit."""
     rng = np.random.default_rng(24)
     for k in range(15):
