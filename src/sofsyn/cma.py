@@ -250,7 +250,9 @@ def update_covariance(
     """Rank-one plus rank-mu covariance update, SPD-repaired.
 
     ``sorted_candidates`` are the top-mu sample points of the generation
-    (best first) and ``old_mean`` the mean they were drawn around.
+    (best first) and ``old_mean`` the mean they were drawn around. A
+    covariance with a non-finite entry is returned unrepaired, for
+    :func:`maybe_reset` to re-seed.
     """
     y = (np.asarray(sorted_candidates, dtype=float) - old_mean) / state.sigma
     rank_mu = (params.weights[:, None] * y).T @ y
@@ -264,15 +266,19 @@ def update_covariance(
         )
         + params.c_mu * rank_mu
     )
-    return enforce_spd(cov)
+    return enforce_spd(cov) if np.isfinite(cov).all() else cov
 
 
 def update_step_size(state: CmaState, path_sigma: np.ndarray, params: CmaParams) -> float:
-    """Cumulative step-size adaptation; stationary when ||path_sigma|| = chi_n."""
+    """Cumulative step-size adaptation; stationary when ||path_sigma|| = chi_n.
+    An update that overflows returns inf, for :func:`maybe_reset` to re-seed."""
     norm = float(np.linalg.norm(path_sigma))
-    return state.sigma * math.exp(
-        (params.c_sigma / params.d_sigma) * (norm / params.chi_n - 1.0)
-    )
+    try:
+        return state.sigma * math.exp(
+            (params.c_sigma / params.d_sigma) * (norm / params.chi_n - 1.0)
+        )
+    except OverflowError:
+        return math.inf
 
 
 def _all_finite(state: CmaState) -> bool:

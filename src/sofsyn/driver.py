@@ -33,7 +33,7 @@ from .cma import (
     update_paths,
     update_step_size,
 )
-from .errors import ConfigError, EigenSolveError
+from .errors import ConfigError
 from .local import default_local_params, run_local_batch
 from .model import PlantRealization
 from .objectives import Evaluation, FitnessConfig, ObjectiveKind, PenaltyMode, evaluate_batch
@@ -163,7 +163,6 @@ def _run(
     global_evals = 0
     local_evals = 0
     history: list[GenerationRecord] = []
-    generation = 0
 
     t_start = time.perf_counter()
     while True:
@@ -185,7 +184,7 @@ def _run(
                 sigma_gen,
                 config.t_s,
                 score,
-                [_candidate_rng(config.seed, generation, i) for i in range(k)],
+                [_candidate_rng(config.seed, state.generation, i) for i in range(k)],
                 local_params,
                 fitness=operator.attrgetter("fitness"),
             )
@@ -200,7 +199,7 @@ def _run(
             best_alpha = np.array(candidates[top], dtype=float)
 
         record = GenerationRecord(
-            generation=generation,
+            generation=state.generation,
             best_fitness=best_ev.fitness,
             sigma=sigma_gen,
             feasible_fraction=sum(ev.feasible for ev in evals) / k,
@@ -212,27 +211,18 @@ def _run(
             progress(record)
 
         if k == params.p:
-            # full generation: advance the sampling distribution
-            try:
-                sorted_top = np.asarray([candidates[i] for i in order[: params.mu]])
-                new_mean = update_mean(sorted_top, params)
-                path_sigma, path_cov, h_sigma = update_paths(state, new_mean, params)
-                new_cov = update_covariance(
-                    state, sorted_top, state.mean, path_cov, h_sigma, params
-                )
-                new_sigma = update_step_size(state, path_sigma, params)
-                state.mean = new_mean
-                state.path_sigma = path_sigma
-                state.path_cov = path_cov
-                state.cov = new_cov
-                state.sigma = new_sigma
-            except (EigenSolveError, OverflowError):
-                # degenerate update (overflowed covariance or step size): force a reset
-                state.sigma = math.inf
+            # full generation: advance the distribution; maybe_reset re-seeds a degenerate one
+            sorted_top = candidates[order[: params.mu]]
+            new_mean = update_mean(sorted_top, params)
+            state.path_sigma, state.path_cov, h_sigma = update_paths(state, new_mean, params)
+            state.cov = update_covariance(
+                state, sorted_top, state.mean, state.path_cov, h_sigma, params
+            )
+            state.sigma = update_step_size(state, state.path_sigma, params)
+            state.mean = new_mean
             state.generation += 1
             maybe_reset(state, best_alpha)
             refresh_basis(state)
-        generation += 1
 
     assert best_alpha is not None and best_ev is not None
     return RunResult(

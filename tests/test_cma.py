@@ -293,6 +293,22 @@ def test_covariance_output_is_symmetric_spd():
     assert np.linalg.eigvalsh(cov).min() > 0
 
 
+def test_covariance_non_finite_returned_unrepaired(monkeypatch):
+    """An overflowed covariance comes back as it is, for maybe_reset to
+    re-seed, and never reaches the SPD repair, whose eigh would raise on it."""
+    from sofsyn import cma
+
+    def no_repair(cov):
+        raise AssertionError("enforce_spd called on a non-finite covariance")
+
+    monkeypatch.setattr(cma, "enforce_spd", no_repair)
+    params = default_params(3)
+    state = init_state(np.zeros(3))
+    cands = np.ones((params.mu, 3))
+    cov = update_covariance(state, cands, state.mean, np.full(3, np.inf), 1.0, params)
+    assert np.isposinf(cov).all()
+
+
 # ---------------------------------------------------------------------------
 # step size
 
@@ -313,6 +329,15 @@ def test_step_size_monotone_in_path_length():
     assert grow == pytest.approx(math.exp(params.c_sigma / params.d_sigma), rel=1e-14)
     assert shrink == pytest.approx(math.exp(-params.c_sigma / params.d_sigma), rel=1e-14)
     assert shrink < 1.0 < grow
+
+
+def test_step_size_overflow_returns_inf():
+    """An update whose exponential overflows returns inf, which maybe_reset
+    re-seeds, instead of raising OverflowError."""
+    params = default_params(4)
+    state = init_state(np.zeros(4), sigma=1.0)
+    assert update_step_size(state, np.full(4, np.inf), params) == math.inf
+    assert update_step_size(state, np.array([1e5, 0, 0, 0]), params) == math.inf
 
 
 # ---------------------------------------------------------------------------

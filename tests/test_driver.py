@@ -259,7 +259,7 @@ def test_step_size_overflow_reseeds_at_best(monkeypatch):
     def overflow_once(state, path_sigma, params):
         updates.append(state.sigma)
         if len(updates) == 3:
-            return state.sigma * math.exp(1e4)
+            return math.inf
         return update_step_size(state, path_sigma, params)
 
     def recording(state, best_alpha):
@@ -269,6 +269,37 @@ def test_step_size_overflow_reseeds_at_best(monkeypatch):
         return resets[-1]
 
     monkeypatch.setattr(driver, "update_step_size", overflow_once)
+    monkeypatch.setattr(driver, "maybe_reset", recording)
+    cfg = SolverConfig(t_max=120, seed=12, sigma0=1.0)
+    res = solve_raw(sphere_at(np.zeros(2)), 2, cfg)
+    assert res.global_evals == 120
+    assert resets[2] and resets.count(True) == 1
+    assert res.history[3].sigma == SIGMA_RESET
+
+
+def test_non_finite_covariance_update_reseeds_at_best(monkeypatch):
+    """An evolution path that overflows once gives a non-finite covariance;
+    maybe_reset re-seeds it at the best point and the run goes on."""
+    from sofsyn import driver
+
+    updates = []
+    resets = []
+    update_paths, maybe_reset = driver.update_paths, driver.maybe_reset
+
+    def overflow_once(state, new_mean, params):
+        path_sigma, path_cov, h_sigma = update_paths(state, new_mean, params)
+        updates.append(state.generation)
+        if len(updates) == 3:
+            path_cov = np.full_like(path_cov, np.inf)
+        return path_sigma, path_cov, h_sigma
+
+    def recording(state, best_alpha):
+        resets.append(maybe_reset(state, best_alpha))
+        if resets[-1]:
+            assert np.array_equal(state.mean, best_alpha)
+        return resets[-1]
+
+    monkeypatch.setattr(driver, "update_paths", overflow_once)
     monkeypatch.setattr(driver, "maybe_reset", recording)
     cfg = SolverConfig(t_max=120, seed=12, sigma0=1.0)
     res = solve_raw(sphere_at(np.zeros(2)), 2, cfg)
