@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import statistics
 import threading
@@ -62,8 +63,10 @@ class CampaignSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+        for name, least in (("runs", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.problems:
             raise ConfigError("at least one problem is required")
 

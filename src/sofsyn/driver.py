@@ -13,6 +13,7 @@ configuration.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -83,18 +84,16 @@ class SolverConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not self.t_max >= 1:
-            raise ConfigError("t_max must be positive")
-        if not self.t_s >= 1:
-            raise ConfigError("t_s must be positive")
+        for name, least in (("t_max", 1), ("t_s", 1), ("seed", 0), ("threads", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.objective, ObjectiveKind):
+            raise ConfigError(f"objective must be an ObjectiveKind, got {self.objective!r}")
         if not cma.SIGMA_MIN <= self.sigma0 <= cma.SIGMA_MAX:
             raise ConfigError(f"sigma0 must be in [{cma.SIGMA_MIN:g}, {cma.SIGMA_MAX:g}]")
-        if not self.seed >= 0:
-            raise ConfigError("seed must be nonnegative")
         if self.initial_mean is not None and not np.isfinite(self.initial_mean).all():
             raise ConfigError("initial_mean must be finite")
-        if not self.threads >= 1:
-            raise ConfigError("threads must be >= 1")
         self.fitness_config()
 
     def fitness_config(self) -> FitnessConfig:
@@ -266,12 +265,14 @@ def solve_raw(
     """Run the optimizer on an arbitrary scalar fitness (maximization).
 
     Every point is treated as feasible and the reported objective is the
-    negated fitness. Intended for testing and for using the optimizer
-    outside the control-synthesis setting.
+    negated fitness. A NaN fitness scores -inf: it compares false, so it
+    would otherwise stay the best point of a run. Intended for testing and
+    for using the optimizer outside the control-synthesis setting.
     """
 
     def score(X: np.ndarray, floors=None) -> list[Evaluation]:
         values = [float(fitness_fn(alpha)) for alpha in X]
+        values = [v if v == v else -math.inf for v in values]
         norms = [float(np.linalg.norm(alpha)) for alpha in X]
         return [Evaluation(v, -v, norm, True) for v, norm in zip(values, norms)]
 

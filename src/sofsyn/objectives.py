@@ -69,6 +69,8 @@ class FitnessConfig:
     def __post_init__(self):
         if not 0 <= self.beta < math.inf:
             raise ConfigError("beta must be finite and nonnegative")
+        if not isinstance(self.penalty_mode, PenaltyMode):
+            raise ConfigError(f"penalty_mode must be a PenaltyMode, got {self.penalty_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,8 @@ def evaluate_batch(
     whose exact fitness exceeds their floor score exactly as without one.
     Floors below ``-INFEASIBLE_PENALTY`` are ignored, because a stable
     row whose norm computation fails scores exactly that penalty."""
+    if not isinstance(kind, ObjectiveKind):
+        raise ConfigError(f"kind must be an ObjectiveKind, got {kind!r}")
     X = np.asarray(X, dtype=float)
     dims = plant.dims
     if X.ndim != 2 or X.shape[1] != dims.n:

@@ -1,13 +1,15 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from sofsyn import builtin_plant_path, load_problem
+from sofsyn.campaign import CampaignSpec
 from sofsyn.cma import SIGMA_MAX, SIGMA_MIN, SIGMA_RESET, default_params
 from sofsyn.driver import RunResult, SolverConfig, solve, solve_raw
 from sofsyn.errors import ConfigError
-from sofsyn.objectives import ObjectiveKind
+from sofsyn.objectives import FitnessConfig, ObjectiveKind, evaluate, evaluate_batch
 
 
 def sphere_at(v):
@@ -235,6 +237,47 @@ def test_tolerances_validated():
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError):
                 SolverConfig(**{name: value})
+
+
+_DI = load_problem(builtin_plant_path("double_integrator"))
+_SPEC = partial(CampaignSpec, ("double_integrator",))
+
+
+@pytest.mark.parametrize("build, field, value", [
+    pytest.param(SolverConfig, "objective", "sa", id="SolverConfig.objective"),
+    pytest.param(SolverConfig, "penalty_mode", "guided", id="SolverConfig.penalty_mode"),
+    pytest.param(FitnessConfig, "penalty_mode", "guided", id="FitnessConfig.penalty_mode"),
+    pytest.param(partial(evaluate, _DI, [3.0, 3.0]), "kind", "sa", id="evaluate.kind"),
+    pytest.param(partial(evaluate_batch, _DI, [[3.0, 3.0]]), "kind", "hinf",
+                 id="evaluate_batch.kind"),
+    pytest.param(SolverConfig, "t_max", 100.5, id="SolverConfig.t_max"),
+    pytest.param(SolverConfig, "t_s", 2.5, id="SolverConfig.t_s"),
+    pytest.param(SolverConfig, "seed", 1.5, id="SolverConfig.seed"),
+    pytest.param(SolverConfig, "threads", 2.0, id="SolverConfig.threads"),
+    pytest.param(_SPEC, "runs", 2.5, id="CampaignSpec.runs"),
+    pytest.param(_SPEC, "base_seed", 0.5, id="CampaignSpec.base_seed"),
+])
+def test_config_value_of_the_wrong_type_rejected(build, field, value):
+    """A string where an enum belongs, or a float where an integer does, is
+    refused with a ConfigError naming the field, not misread or left to
+    fail inside numpy."""
+    with pytest.raises(ConfigError, match=field):
+        build(**{field: value})
+
+
+def test_nan_fitness_never_stays_best():
+    """solve_raw scores a NaN fitness -inf: NaN compares false, so it would
+    otherwise stay the best point and block every (1+1) acceptance."""
+
+    def nan_right_of_the_line(x):
+        if x[0] > 0.2:
+            return math.nan
+        return -float(np.sum((x - np.array([-1.0, 2.0])) ** 2))
+
+    res = solve_raw(nan_right_of_the_line, 2, SolverConfig(t_max=400, seed=0))
+    assert math.isfinite(res.best_fitness)
+    np.testing.assert_allclose(res.best_alpha, [-1.0, 2.0], atol=1e-6)
+    assert all(math.isfinite(rec.best_fitness) for rec in res.history[1:])
 
 
 def test_sigma0_within_the_step_size_bounds():
