@@ -290,20 +290,21 @@ def test_sigma0_within_the_step_size_bounds():
             SolverConfig(sigma0=float(sigma0))
 
 
-def test_step_size_overflow_reseeds_at_best(monkeypatch):
-    """A step-size update that overflows re-seeds the distribution at the
-    best point, like a degenerate covariance update, instead of ending the run."""
+def _reseeds_once_at_best(monkeypatch, name, degenerate_third_call):
+    """Solve a 2-d sphere with ``driver.<name>`` replaced so that its third
+    call returns ``degenerate_third_call(result of the real call)``; the run
+    completes, maybe_reset re-seeds at the best point exactly once, and the
+    next generation samples at SIGMA_RESET."""
     from sofsyn import driver
 
-    updates = []
+    calls = []
     resets = []
-    update_step_size, maybe_reset = driver.update_step_size, driver.maybe_reset
+    real, maybe_reset = getattr(driver, name), driver.maybe_reset
 
-    def overflow_once(state, path_sigma, params):
-        updates.append(state.sigma)
-        if len(updates) == 3:
-            return math.inf
-        return update_step_size(state, path_sigma, params)
+    def fake(*args):
+        calls.append(None)
+        out = real(*args)
+        return degenerate_third_call(out) if len(calls) == 3 else out
 
     def recording(state, best_alpha):
         resets.append(maybe_reset(state, best_alpha))
@@ -311,44 +312,27 @@ def test_step_size_overflow_reseeds_at_best(monkeypatch):
             assert np.array_equal(state.mean, best_alpha)
         return resets[-1]
 
-    monkeypatch.setattr(driver, "update_step_size", overflow_once)
+    monkeypatch.setattr(driver, name, fake)
     monkeypatch.setattr(driver, "maybe_reset", recording)
     cfg = SolverConfig(t_max=120, seed=12, sigma0=1.0)
     res = solve_raw(sphere_at(np.zeros(2)), 2, cfg)
     assert res.global_evals == 120
     assert resets[2] and resets.count(True) == 1
     assert res.history[3].sigma == SIGMA_RESET
+
+
+def test_step_size_overflow_reseeds_at_best(monkeypatch):
+    """A step-size update that overflows (update_step_size returns inf)
+    re-seeds the distribution at the best point instead of ending the run."""
+    _reseeds_once_at_best(monkeypatch, "update_step_size", lambda sigma: math.inf)
 
 
 def test_non_finite_covariance_update_reseeds_at_best(monkeypatch):
-    """An evolution path that overflows once gives a non-finite covariance;
-    maybe_reset re-seeds it at the best point and the run goes on."""
-    from sofsyn import driver
-
-    updates = []
-    resets = []
-    update_paths, maybe_reset = driver.update_paths, driver.maybe_reset
-
-    def overflow_once(state, new_mean, params):
-        path_sigma, path_cov, h_sigma = update_paths(state, new_mean, params)
-        updates.append(state.generation)
-        if len(updates) == 3:
-            path_cov = np.full_like(path_cov, np.inf)
-        return path_sigma, path_cov, h_sigma
-
-    def recording(state, best_alpha):
-        resets.append(maybe_reset(state, best_alpha))
-        if resets[-1]:
-            assert np.array_equal(state.mean, best_alpha)
-        return resets[-1]
-
-    monkeypatch.setattr(driver, "update_paths", overflow_once)
-    monkeypatch.setattr(driver, "maybe_reset", recording)
-    cfg = SolverConfig(t_max=120, seed=12, sigma0=1.0)
-    res = solve_raw(sphere_at(np.zeros(2)), 2, cfg)
-    assert res.global_evals == 120
-    assert resets[2] and resets.count(True) == 1
-    assert res.history[3].sigma == SIGMA_RESET
+    """An evolution path that overflows once gives a non-finite covariance,
+    which maybe_reset re-seeds at the best point instead of ending the run."""
+    _reseeds_once_at_best(
+        monkeypatch, "update_paths", lambda out: (out[0], np.full_like(out[1], np.inf), out[2])
+    )
 
 
 def test_lockstep_refinement_matches_run_local_per_candidate(monkeypatch):
