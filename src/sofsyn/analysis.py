@@ -20,7 +20,6 @@ not grow with its number of frequencies.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     SingularResolventError,
     SofsynError,
 )
-from .model import ClosedLoopRealization
+from .model import ClosedLoopRealization, check_count
 
 __all__ = [
     "StabilityReport",
@@ -198,7 +197,7 @@ class FrequencyGrid:
     ``omega_max`` (``points_per_decade`` per decade); the oracle refines the
     sampled argmax by golden-section search. Raises ``ValueError`` naming
     the field unless 0 < omega_min <= omega_max < inf and
-    ``points_per_decade`` is a positive integer.
+    ``points_per_decade`` is an integer >= 1 (not a bool).
     """
 
     omega_min: float = 1e-4
@@ -212,9 +211,7 @@ class FrequencyGrid:
             raise ValueError(
                 f"omega_max must be finite and at least omega_min, got {self.omega_max!r}"
             )
-        per_decade = self.points_per_decade
-        if not (isinstance(per_decade, numbers.Integral) and per_decade >= 1):
-            raise ValueError(f"points_per_decade must be a positive integer, got {per_decade!r}")
+        check_count("points_per_decade", self.points_per_decade, 1, ValueError)
 
     def frequencies(self) -> np.ndarray:
         lo = np.log10(self.omega_min)
@@ -256,13 +253,13 @@ def hinf_norm_grid(cl: ClosedLoopRealization, grid: FrequencyGrid = DEFAULT_GRID
     Raises
     ------
     InstabilityError
-        If A_F is not Hurwitz (abscissa >= 0).
+        If A_F is not Hurwitz by :func:`is_hurwitz` (abscissa >= -STABILITY_TOL).
     SingularResolventError
         If the gain at a grid frequency cannot be computed (its resolvent
         is singular in floating point, or the gain is not a number).
     """
     abscissa = spectral_abscissa(cl.A_F)
-    if abscissa >= 0:
+    if not abscissa < -STABILITY_TOL:
         raise InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
     omegas = grid.frequencies()
     gains = _sweep(cl.A_F, cl.C_F, cl.B1, cl.D11, omegas)
@@ -420,7 +417,7 @@ def hinf_norm(cl: ClosedLoopRealization) -> HinfResult:
     Raises
     ------
     InstabilityError
-        If A_F is not Hurwitz.
+        If A_F is not Hurwitz by :func:`is_hurwitz` (abscissa >= -STABILITY_TOL).
     EigenSolveError
         If an eigensolve fails to converge or meets a non-finite entry.
     SingularResolventError
@@ -431,7 +428,7 @@ def hinf_norm(cl: ClosedLoopRealization) -> HinfResult:
     """
     wr, wi = _real_eig(cl.A_F)
     abscissa = float(wr.max())
-    if abscissa >= 0:
+    if not abscissa < -STABILITY_TOL:
         raise InstabilityError(f"closed loop is unstable (abscissa {abscissa:.6g})")
     [res] = hinf_norms(cl.A_F[None], cl.C_F[None], cl.B1, cl.D11, (wr[None], wi[None]))
     if isinstance(res, SofsynError):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import statistics
 import threading
@@ -31,7 +30,7 @@ import numpy as np
 from .driver import RunResult, SolverConfig
 from .driver import solve as _driver_solve
 from .errors import ConfigError, SofsynError
-from .model import PlantRealization
+from .model import PlantRealization, check_count
 from .objectives import gain_norm
 from .problem_io import load_problem
 
@@ -64,9 +63,7 @@ class CampaignSpec:
 
     def __post_init__(self):
         for name, least in (("runs", 1), ("base_seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_count(name, getattr(self, name), least, ConfigError)
         if not self.problems:
             raise ConfigError("at least one problem is required")
 

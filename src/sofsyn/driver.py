@@ -13,7 +13,6 @@ configuration.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .cma import (
 )
 from .errors import ConfigError
 from .local import default_local_params, run_local_batch
-from .model import PlantRealization
+from .model import PlantRealization, check_count, is_real
 from .objectives import Evaluation, FitnessConfig, ObjectiveKind, PenaltyMode, evaluate_batch
 
 # Not called here, but bound: perfbench/tracing.py patches these names in this module.
@@ -59,7 +58,8 @@ class SolverConfig:
     against ``t_max`` only when ``charge_local_to_budget`` is set. The
     fitness fields are validated as :class:`FitnessConfig` validates them.
     ``sigma0`` lies in [cma.SIGMA_MIN, cma.SIGMA_MAX], the step sizes a run
-    keeps without a reset.
+    keeps without a reset. Building a config checks the type and range of
+    every field (README, "Library use"), so code that takes one trusts it.
     ``threads`` caps the worker processes of a campaign
     (:func:`sofsyn.campaign.run_campaign`) and changes no result; a single
     solve runs on the calling thread and ignores it.
@@ -85,15 +85,18 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, least in (("t_max", 1), ("t_s", 1), ("seed", 0), ("threads", 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_count(name, getattr(self, name), least, ConfigError)
         if not isinstance(self.objective, ObjectiveKind):
             raise ConfigError(f"objective must be an ObjectiveKind, got {self.objective!r}")
-        if not cma.SIGMA_MIN <= self.sigma0 <= cma.SIGMA_MAX:
-            raise ConfigError(f"sigma0 must be in [{cma.SIGMA_MIN:g}, {cma.SIGMA_MAX:g}]")
-        if self.initial_mean is not None and not np.isfinite(self.initial_mean).all():
-            raise ConfigError("initial_mean must be finite")
+        if not (is_real(self.sigma0) and cma.SIGMA_MIN <= self.sigma0 <= cma.SIGMA_MAX):
+            raise ConfigError(f"sigma0 must be a number in [{cma.SIGMA_MIN:g}, {cma.SIGMA_MAX:g}]")
+        for name in ("local_search_enabled", "charge_local_to_budget"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if self.initial_mean is not None:
+            mean = np.asarray(self.initial_mean)
+            if mean.ndim != 1 or mean.dtype.kind not in "iuf" or not np.isfinite(mean).all():
+                raise ConfigError(f"initial_mean must be a finite real 1-d vector, got {mean!r}")
         self.fitness_config()
 
     def fitness_config(self) -> FitnessConfig:
@@ -267,8 +270,10 @@ def solve_raw(
     Every point is treated as feasible and the reported objective is the
     negated fitness. A NaN fitness scores -inf: it compares false, so it
     would otherwise stay the best point of a run. Intended for testing and
-    for using the optimizer outside the control-synthesis setting.
+    for using the optimizer outside the control-synthesis setting. A bad
+    ``n`` (not an integer >= 1) raises ``ConfigError``.
     """
+    check_count("n", n, 1, ConfigError)
 
     def score(X: np.ndarray, floors=None) -> list[Evaluation]:
         values = [float(fitness_fn(alpha)) for alpha in X]

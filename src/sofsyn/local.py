@@ -36,7 +36,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LocalParams:
-    """Constants of the (1+1) strategy for a given dimension."""
+    """Constants of the (1+1) strategy for a given dimension, as
+    :func:`default_local_params` computes them (nothing here re-checks them)."""
 
     d: float  # step-size damping, 1 + n/2
     c_cth: float  # cumulation horizon, 2 / (2 + n)
@@ -45,18 +46,9 @@ class LocalParams:
     c_p: float = 1.0 / 12.0  # success-rate averaging rate
     p_threshold: float = 0.44  # success rate above which path input is suppressed
 
-    def __post_init__(self):
-        if self.d <= 1:
-            raise ValueError("damping d must exceed 1")
-        for name in ("p_target", "c_p", "c_cth", "c_cov", "p_threshold"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
-
 
 def default_local_params(n: int) -> LocalParams:
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    """The constants for dimension n >= 1."""
     return LocalParams(
         d=1.0 + n / 2.0,
         c_cth=2.0 / (2.0 + n),
@@ -81,10 +73,8 @@ class LocalState:
 
 def init_local(parents, fitnesses, global_sigma: float) -> LocalState:
     """Fresh refinement state around the rows of ``parents`` (m, n):
-    identity covariance, step size at a tenth of the global one, success
-    rate at its target."""
-    if not global_sigma > 0:
-        raise ValueError("global_sigma must be positive")
+    identity covariance, step size at a tenth of the global one (which is
+    positive), success rate at its target."""
     parent = np.array(parents, dtype=float)
     m, n = parent.shape
     return LocalState(

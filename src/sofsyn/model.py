@@ -20,6 +20,7 @@ operator), so a candidate vector has length n_u * n_y.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,9 +65,7 @@ class Dims:
 
     def __post_init__(self):
         for name in ("n_x", "n_w", "n_u", "n_y", "n_z"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise DimensionMismatchError(f"{name} must be a positive integer, got {value!r}")
+            check_count(name, getattr(self, name), 1, DimensionMismatchError)
 
     @property
     def n(self) -> int:
@@ -113,6 +112,17 @@ def check_shapes(matrices: dict, shapes: dict, sizes: dict | None = None) -> dic
         if not np.all(np.isfinite(matrices[name])):
             raise NonFiniteEntryError(f"matrix {name} contains non-finite entries")
     return sizes
+
+
+def check_count(name: str, value, least: int, error: type) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``least``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (numpy's included, a bool not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -189,10 +199,10 @@ def flatten_gain(gain: np.ndarray) -> np.ndarray:
 
 
 def unflatten_gain(alpha: np.ndarray, n_u: int, n_y: int) -> np.ndarray:
-    """Inverse of :func:`flatten_gain`."""
+    """Inverse of :func:`flatten_gain`, also row by row on a stack (m, n_u * n_y)."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.size != n_u * n_y:
+    if alpha.ndim not in (1, 2) or alpha.shape[-1] != n_u * n_y:
         raise DimensionMismatchError(
-            f"decision vector has length {alpha.size}, expected {n_u * n_y}"
+            f"decision vectors have shape {alpha.shape}, expected (..., {n_u * n_y})"
         )
-    return alpha.reshape((n_u, n_y), order="F")
+    return alpha.reshape(alpha.shape[:-1] + (n_y, n_u)).swapaxes(-1, -2)

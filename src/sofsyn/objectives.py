@@ -23,8 +23,7 @@ import numpy as np
 from .analysis import STABILITY_TOL, HinfResult, _spectra, hinf_norms
 from .analysis import hinf_norm  # noqa: F401  (a binding perfbench/tracing.py patches)
 from .errors import ConfigError, DimensionMismatchError
-from .model import PlantRealization
-from .model import unflatten_gain  # noqa: F401  (a binding perfbench/tracing.py patches)
+from .model import PlantRealization, is_real, unflatten_gain
 
 __all__ = [
     "ObjectiveKind",
@@ -67,8 +66,8 @@ class FitnessConfig:
     penalty_mode: PenaltyMode = PenaltyMode.GUIDED
 
     def __post_init__(self):
-        if not 0 <= self.beta < math.inf:
-            raise ConfigError("beta must be finite and nonnegative")
+        if not (is_real(self.beta) and 0 <= self.beta < math.inf):
+            raise ConfigError(f"beta must be a finite nonnegative number, got {self.beta!r}")
         if not isinstance(self.penalty_mode, PenaltyMode):
             raise ConfigError(f"penalty_mode must be a PenaltyMode, got {self.penalty_mode!r}")
 
@@ -135,7 +134,7 @@ def evaluate_batch(
         raise DimensionMismatchError(
             f"decision vectors have shape {X.shape}, expected (m, {dims.n})"
         )
-    F = X.reshape(len(X), dims.n_y, dims.n_u).transpose(0, 2, 1)  # unflatten_gain per row
+    F = unflatten_gain(X, dims.n_u, dims.n_y)
     with np.errstate(over="ignore", invalid="ignore"):
         # row-wise BLAS ddot, as in gain_norm, so each norm has its exact bits
         norms = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0]).tolist()

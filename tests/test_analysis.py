@@ -234,6 +234,7 @@ def test_grid_spec_frequencies():
         ({"omega_min": 1e2, "omega_max": 1e-2}, "omega_max"),
         ({"omega_max": np.inf}, "omega_max"),
         ({"points_per_decade": 0}, "points_per_decade"),
+        ({"points_per_decade": True}, "points_per_decade"),
     ],
 )
 def test_grid_spec_rejects_bad_fields(fields, name):
@@ -281,6 +282,16 @@ def test_hinf_requires_stability():
     cl = ClosedLoopRealization(A_F=[[0.1]], B1=[[1.0]], C_F=[[1.0]], D11=[[0.0]])
     with pytest.raises(InstabilityError):
         hinf_norm(cl)
+
+
+def test_norms_refuse_a_loop_within_the_stability_margin():
+    """Both norms call a loop Hurwitz by is_hurwitz's rule: an abscissa of
+    -5e-10 is inside the margin, so they refuse it rather than report 2e9."""
+    cl = ClosedLoopRealization(A_F=[[-5e-10]], B1=[[1.0]], C_F=[[1.0]], D11=[[0.0]])
+    assert not is_hurwitz(cl.A_F).hurwitz
+    for norm in (hinf_norm, hinf_norm_grid):
+        with pytest.raises(InstabilityError, match="unstable"):
+            norm(cl)
 
 
 def test_hinf_agrees_with_grid_oracle():

@@ -256,13 +256,41 @@ _SPEC = partial(CampaignSpec, ("double_integrator",))
     pytest.param(SolverConfig, "threads", 2.0, id="SolverConfig.threads"),
     pytest.param(_SPEC, "runs", 2.5, id="CampaignSpec.runs"),
     pytest.param(_SPEC, "base_seed", 0.5, id="CampaignSpec.base_seed"),
+    pytest.param(SolverConfig, "sigma0", "0.3", id="SolverConfig.sigma0"),
+    pytest.param(SolverConfig, "beta", None, id="SolverConfig.beta"),
+    pytest.param(SolverConfig, "initial_mean", "ab", id="SolverConfig.initial_mean-str"),
+    pytest.param(SolverConfig, "initial_mean", [["1"]], id="SolverConfig.initial_mean-nested"),
+    pytest.param(SolverConfig, "local_search_enabled", "no",
+                 id="SolverConfig.local_search_enabled"),
+    pytest.param(SolverConfig, "charge_local_to_budget", 1,
+                 id="SolverConfig.charge_local_to_budget"),
+    pytest.param(SolverConfig, "t_max", True, id="SolverConfig.t_max-bool"),
+    pytest.param(_SPEC, "runs", True, id="CampaignSpec.runs-bool"),
 ])
 def test_config_value_of_the_wrong_type_rejected(build, field, value):
-    """A string where an enum belongs, or a float where an integer does, is
-    refused with a ConfigError naming the field, not misread or left to
-    fail inside numpy."""
+    """A string where an enum or a number belongs, a float or a bool where a
+    count does, or a non-bool where a bool does, is refused with a
+    ConfigError naming the field, not misread or left to fail inside numpy."""
     with pytest.raises(ConfigError, match=field):
         build(**{field: value})
+
+
+def test_numpy_scalar_settings_construct():
+    """Numpy scalars are numbers, counts and bools like Python's own."""
+    config = SolverConfig(
+        t_max=np.int64(100), t_s=np.int64(3), seed=np.int64(2), threads=np.int64(1),
+        sigma0=np.float64(0.5), beta=np.float64(1e-9), initial_mean=np.arange(2),
+        local_search_enabled=np.bool_(False), charge_local_to_budget=np.bool_(True),
+    )
+    assert solve_raw(sphere_at(np.zeros(2)), 2, config).global_evals == 100
+    assert CampaignSpec(("a",), runs=np.int64(2), base_seed=np.int64(0)).runs == 2
+
+
+@pytest.mark.parametrize("n", [0, 2.5, True, "2"])
+def test_solve_raw_refuses_a_bad_dimension(n):
+    """solve_raw's n is a count, refused where it enters."""
+    with pytest.raises(ConfigError, match="n must be an integer >= 1"):
+        solve_raw(sphere_at(np.zeros(2)), n, SolverConfig(t_max=10))
 
 
 def test_nan_fitness_never_stays_best():

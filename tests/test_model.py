@@ -192,6 +192,15 @@ def test_flatten_unflatten_roundtrip_bit_exact():
         assert (back == F).all()
 
 
+def test_unflatten_a_stack_row_by_row():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((4, 6))
+    stack = unflatten_gain(X, 2, 3)
+    assert stack.shape == (4, 2, 3)
+    for row, F in zip(X, stack):
+        assert (F == unflatten_gain(row, 2, 3)).all()
+
+
 def test_unflatten_wrong_length():
     with pytest.raises(DimensionMismatchError):
         unflatten_gain(np.zeros(5), 2, 3)
@@ -200,3 +209,6 @@ def test_unflatten_wrong_length():
 def test_dims_rejects_nonpositive_counts():
     with pytest.raises(DimensionMismatchError):
         Dims(0, 1, 1, 1, 1)
+    # a bool is not a count, though it is an int
+    with pytest.raises(DimensionMismatchError, match="n_x"):
+        Dims(True, 1, 1, 1, 1)
