@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -38,39 +39,31 @@ from .model import close_loop, unflatten_gain
 from .objectives import ObjectiveKind, PenaltyMode
 from .problem_io import load_problem
 
-_OBJECTIVES = {"hinf": ObjectiveKind.HINF_NORM, "sa": ObjectiveKind.SPECTRAL_ABSCISSA}
-_PENALTY_MODES = {"strict": PenaltyMode.STRICT, "guided": PenaltyMode.GUIDED}
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        objective=_OBJECTIVES[args.objective],
-        t_max=args.budget,
-        t_s=args.local_iters,
-        beta=args.beta,
-        penalty_mode=_PENALTY_MODES[args.penalty_mode],
-        seed=args.seed,
-        sigma0=args.sigma0,
-        local_search_enabled=not args.no_local_search,
-        charge_local_to_budget=args.charge_local,
-        threads=args.threads,
-    )
+    """The config the solver flags set, each parsed into the field it sets."""
+    values = {f.name: getattr(args, f.name) for f in fields(SolverConfig) if hasattr(args, f.name)}
+    values["objective"] = ObjectiveKind(args.objective)
+    values["penalty_mode"] = PenaltyMode(args.penalty_mode)
+    return SolverConfig(**values)
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--objective", choices=sorted(_OBJECTIVES), default="hinf",
+    parser.add_argument("--objective", choices=sorted(k.value for k in ObjectiveKind),
+                        default="hinf",
                         help="hinf: closed-loop H-infinity norm; sa: spectral abscissa")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--budget", type=int, default=10000,
+    parser.add_argument("--budget", dest="t_max", metavar="BUDGET", type=int, default=10000,
                         help="global sample evaluations (t_max)")
-    parser.add_argument("--local-iters", type=int, default=10,
+    parser.add_argument("--local-iters", dest="t_s", metavar="LOCAL_ITERS", type=int, default=10,
                         help="(1+1) refinement evaluations per offspring (t_s)")
     parser.add_argument("--beta", type=float, default=1e-10,
                         help="weight of the gain-magnitude penalty")
-    parser.add_argument("--penalty-mode", choices=sorted(_PENALTY_MODES), default="guided",
-                        help="scoring of infeasible candidates")
-    parser.add_argument("--no-local-search", action="store_true",
+    parser.add_argument("--penalty-mode", choices=sorted(m.value for m in PenaltyMode),
+                        default="guided", help="scoring of infeasible candidates")
+    parser.add_argument("--no-local-search", dest="local_search_enabled", action="store_false",
                         help="disable the (1+1) refinement phase")
-    parser.add_argument("--charge-local", action="store_true",
+    parser.add_argument("--charge-local", dest="charge_local_to_budget", action="store_true",
                         help="charge local-search evaluations against the budget")
     parser.add_argument("--sigma0", type=float, default=0.3, help="initial step size")
     parser.add_argument("--threads", type=int, default=1,
@@ -194,11 +187,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_validate(args) -> int:
     plant = load_problem(args.problem)
-    dims = plant.dims
-    print(
-        f"name={plant.name} n_x={dims.n_x} n_w={dims.n_w} "
-        f"n_u={dims.n_u} n_y={dims.n_y} n_z={dims.n_z}"
-    )
+    sizes = " ".join(f"{size}={count}" for size, count in vars(plant.dims).items())
+    print(f"name={plant.name} {sizes}")
     return 0
 
 

@@ -277,15 +277,11 @@ def maybe_reset(state: CmaState, best_alpha: np.ndarray | None = None) -> bool:
     healthy = _all_finite(state) and SIGMA_MIN <= state.sigma <= SIGMA_MAX
     if healthy:
         return False
-    n = state.mean.size
     if best_alpha is not None:
-        state.mean = np.array(best_alpha, dtype=float)
-    elif not np.all(np.isfinite(state.mean)):
-        state.mean = np.zeros(n)
-    state.sigma = SIGMA_RESET
-    state.cov = np.eye(n)
-    state.path_sigma = np.zeros(n)
-    state.path_cov = np.zeros(n)
-    state.basis = np.eye(n)
-    state.sqrt_eigs = np.ones(n)
+        mean = best_alpha
+    elif np.all(np.isfinite(state.mean)):
+        mean = state.mean
+    else:
+        mean = np.zeros(state.mean.size)
+    vars(state).update(vars(init_state(mean, SIGMA_RESET)), generation=state.generation)
     return True

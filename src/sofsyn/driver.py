@@ -35,7 +35,7 @@ from .cma import (
 )
 from .errors import ConfigError
 from .local import default_local_params, run_local_batch
-from .model import PlantRealization, check_count, is_real
+from .model import PlantRealization, as_real_array, check_count, is_real
 from .objectives import Evaluation, FitnessConfig, ObjectiveKind, PenaltyMode, evaluate_batch
 
 # Not called here, but bound: perfbench/tracing.py patches these names in this module.
@@ -94,8 +94,8 @@ class SolverConfig:
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.initial_mean is not None:
-            mean = np.asarray(self.initial_mean)
-            if mean.ndim != 1 or mean.dtype.kind not in "iuf" or not np.isfinite(mean).all():
+            mean = as_real_array("initial_mean", self.initial_mean)
+            if mean.ndim != 1 or not np.isfinite(mean).all():
                 raise ConfigError(f"initial_mean must be a finite real 1-d vector, got {mean!r}")
         self.fitness_config()
 

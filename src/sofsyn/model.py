@@ -21,11 +21,11 @@ operator), so a candidate vector has length n_u * n_y.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteEntryError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteEntryError
 
 __all__ = [
     "Dims",
@@ -64,8 +64,8 @@ class Dims:
     n_z: int
 
     def __post_init__(self):
-        for name in ("n_x", "n_w", "n_u", "n_y", "n_z"):
-            check_count(name, getattr(self, name), 1, DimensionMismatchError)
+        for size in fields(self):
+            check_count(size.name, getattr(self, size.name), 1, DimensionMismatchError)
 
     @property
     def n(self) -> int:
@@ -123,6 +123,18 @@ def check_count(name: str, value, least: int, error: type) -> None:
 def is_real(value) -> bool:
     """Whether ``value`` is a real number (numpy's included, a bool not)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, a float64 one as is; raises :class:`ConfigError`
+    naming ``name`` unless it is a rectangular array of integers or reals."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{name} must be a rectangular array of real numbers, got {value!r}")
+    return arr.astype(float, copy=False)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:

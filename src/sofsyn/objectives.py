@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import STABILITY_TOL, HinfResult, _spectra, hinf_norms
 from .analysis import hinf_norm  # noqa: F401  (a binding perfbench/tracing.py patches)
 from .errors import ConfigError, DimensionMismatchError
-from .model import PlantRealization, is_real, unflatten_gain
+from .model import PlantRealization, as_real_array, is_real, unflatten_gain
 
 __all__ = [
     "ObjectiveKind",
@@ -102,7 +102,7 @@ def evaluate(
     cfg: FitnessConfig = FitnessConfig(),
 ) -> Evaluation:
     """Score one decision vector; see :func:`evaluate_batch`."""
-    alpha = np.asarray(alpha, dtype=float).reshape(1, -1)
+    alpha = as_real_array("alpha", alpha).reshape(1, -1)
     return evaluate_batch(plant, alpha, kind, cfg)[0]
 
 
@@ -116,8 +116,10 @@ def evaluate_batch(
     """Score every row of ``X`` (one decision vector per row) exactly as
     that row would score alone. Deterministic; never raises on an unstable
     or numerically failing candidate (those become penalized evaluations so
-    the optimizer can keep running). The H-infinity norms of the stable
-    rows run in lockstep, as one :func:`~sofsyn.analysis.hinf_norms` call.
+    the optimizer can keep running), but refuses an ``X`` other than a
+    rectangular array of integers or reals with :class:`ConfigError`. The
+    H-infinity norms of the stable rows run in lockstep, as one
+    :func:`~sofsyn.analysis.hinf_norms` call.
 
     ``floors``, one fitness per row, lets the H-infinity norm of a row stop
     as soon as the row provably scores at most its floor (an elitist step
@@ -128,7 +130,7 @@ def evaluate_batch(
     row whose norm computation fails scores exactly that penalty."""
     if not isinstance(kind, ObjectiveKind):
         raise ConfigError(f"kind must be an ObjectiveKind, got {kind!r}")
-    X = np.asarray(X, dtype=float)
+    X = as_real_array("X", X)
     dims = plant.dims
     if X.ndim != 2 or X.shape[1] != dims.n:
         raise DimensionMismatchError(

@@ -19,50 +19,43 @@ files round-trip doubles exactly.
 
 from __future__ import annotations
 
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ProblemFileError
-from .model import PLANT_SHAPES, PlantRealization, check_shapes
+from .model import PLANT_SHAPES, Dims, PlantRealization, check_shapes
 
 __all__ = ["load_problem", "parse_problem", "save_problem", "format_problem"]
 
 MATRIX_NAMES = tuple(PLANT_SHAPES)
 
 
-class _TokenStream:
-    """Line-tracking token reader so parse errors can point at their origin."""
-
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, int]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0]
-            for tok in body.split():
-                self.tokens.append((tok, lineno))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, what: str) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            raise ProblemFileError(f"unexpected end of file while reading {what}")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _tokens(text: str):
+    """Each ``(token, line number)`` of ``text``, for parse errors to name the line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in line.split("#", 1)[0].split():
+            yield tok, lineno
 
 
-def _parse_int(stream: _TokenStream, what: str) -> int:
-    tok, lineno = stream.next(what)
+def _next(tokens, what: str) -> tuple[str, int]:
+    tok = next(tokens, None)
+    if tok is None:
+        raise ProblemFileError(f"unexpected end of file while reading {what}")
+    return tok
+
+
+def _parse_int(tokens, what: str) -> int:
+    tok, lineno = _next(tokens, what)
     try:
         return int(tok)
     except ValueError:
         raise ProblemFileError(f"line {lineno}: expected integer for {what}, got {tok!r}") from None
 
 
-def _parse_float(stream: _TokenStream, what: str) -> float:
-    tok, lineno = stream.next(what)
+def _parse_float(tokens, what: str) -> float:
+    tok, lineno = _next(tokens, what)
     try:
         value = float(tok)
     except ValueError:
@@ -74,39 +67,35 @@ def _parse_float(stream: _TokenStream, what: str) -> float:
 
 def parse_problem(text: str, source: str = "<string>") -> PlantRealization:
     """Parse plant-file text into a :class:`PlantRealization`."""
-    stream = _TokenStream(text)
+    tokens = _tokens(text)
     name = None
     dims = None
     matrices: dict[str, np.ndarray] = {}
 
-    while stream.peek() is not None:
-        keyword, lineno = stream.next("keyword")
+    for keyword, lineno in tokens:
         if keyword == "name":
             if name is not None:
                 raise ProblemFileError(f"line {lineno}: duplicate 'name' field")
-            name, _ = stream.next("name value")
+            name, _ = _next(tokens, "name value")
         elif keyword == "dims":
             if dims is not None:
                 raise ProblemFileError(f"line {lineno}: duplicate 'dims' field")
-            dims = {
-                size: _parse_int(stream, f"dims ({size})")
-                for size in ("n_x", "n_w", "n_u", "n_y", "n_z")
-            }
+            dims = {size.name: _parse_int(tokens, f"dims ({size.name})") for size in fields(Dims)}
         elif keyword == "matrix":
-            mat_name, name_line = stream.next("matrix name")
+            mat_name, name_line = _next(tokens, "matrix name")
             if mat_name not in MATRIX_NAMES:
                 raise ProblemFileError(
                     f"line {name_line}: unknown matrix {mat_name!r}; expected one of {MATRIX_NAMES}"
                 )
             if mat_name in matrices:
                 raise ProblemFileError(f"line {name_line}: duplicate matrix block {mat_name!r}")
-            rows = _parse_int(stream, f"matrix {mat_name} rows")
-            cols = _parse_int(stream, f"matrix {mat_name} cols")
+            rows = _parse_int(tokens, f"matrix {mat_name} rows")
+            cols = _parse_int(tokens, f"matrix {mat_name} cols")
             if rows < 1 or cols < 1:
                 raise ProblemFileError(
                     f"line {name_line}: matrix {mat_name} has non-positive shape {rows}x{cols}"
                 )
-            data = [_parse_float(stream, f"matrix {mat_name}") for _ in range(rows * cols)]
+            data = [_parse_float(tokens, f"matrix {mat_name}") for _ in range(rows * cols)]
             matrices[mat_name] = np.array(data, dtype=float).reshape(rows, cols)
         else:
             raise ProblemFileError(f"line {lineno}: unknown keyword {keyword!r}")
@@ -141,11 +130,7 @@ def format_problem(plant: PlantRealization) -> str:
     :class:`ProblemFileError` unless its name is one token without spaces or ``#``."""
     if plant.name.split() != [plant.name] or "#" in plant.name:
         raise ProblemFileError(f"plant name {plant.name!r} is not one token without spaces or '#'")
-    dims = plant.dims
-    lines = [
-        f"name {plant.name}",
-        f"dims {dims.n_x} {dims.n_w} {dims.n_u} {dims.n_y} {dims.n_z}",
-    ]
+    lines = [f"name {plant.name}", "dims " + " ".join(map(str, astuple(plant.dims)))]
     for mat_name in MATRIX_NAMES:
         mat = getattr(plant, mat_name)
         lines.append(f"matrix {mat_name} {mat.shape[0]} {mat.shape[1]}")

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import statistics
+from dataclasses import fields
 
 import pytest
 
@@ -22,7 +23,7 @@ from sofsyn.campaign import (
 from sofsyn.cli import main
 from sofsyn.driver import SolverConfig
 from sofsyn.errors import ConfigError, EigenSolveError
-from sofsyn.objectives import ObjectiveKind
+from sofsyn.objectives import ObjectiveKind, PenaltyMode
 
 UNSTABILIZABLE = """
 name hopeless
@@ -436,6 +437,30 @@ def test_cli_threads_env_var(tmp_path, capsys, monkeypatch):
         ("double_integrator", 0), ("double_integrator", 1),
         ("first_order_lag", 0), ("first_order_lag", 1),
     ]
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--problem", "p.plant"],
+    ["bench", "--problem", "p.plant", "--out", "o"],
+], ids=["solve", "bench"])
+def test_cli_solver_flags_land_in_their_fields(command):
+    parser = cli.build_parser()
+    args = parser.parse_args(command + [
+        "--objective", "sa", "--seed", "7", "--budget", "123", "--local-iters", "4",
+        "--beta", "0.5", "--penalty-mode", "strict", "--no-local-search", "--charge-local",
+        "--sigma0", "0.7", "--threads", "3",
+    ])
+    expected = SolverConfig(
+        objective=ObjectiveKind.SPECTRAL_ABSCISSA, t_max=123, t_s=4, beta=0.5,
+        penalty_mode=PenaltyMode.STRICT, seed=7, sigma0=0.7, local_search_enabled=False,
+        charge_local_to_budget=True, threads=3,
+    )
+    assert cli._solver_config(args) == expected
+    # every field but initial_mean has a flag, and each was given a non-default value
+    default = SolverConfig()
+    assert [f.name for f in fields(SolverConfig)
+            if getattr(expected, f.name) == getattr(default, f.name)] == ["initial_mean"]
+    assert cli._solver_config(parser.parse_args(command)) == default
 
 
 def test_cli_threads_must_be_positive(capsys):

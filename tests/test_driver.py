@@ -260,6 +260,20 @@ _SPEC = partial(CampaignSpec, ("double_integrator",))
     pytest.param(SolverConfig, "beta", None, id="SolverConfig.beta"),
     pytest.param(SolverConfig, "initial_mean", "ab", id="SolverConfig.initial_mean-str"),
     pytest.param(SolverConfig, "initial_mean", [["1"]], id="SolverConfig.initial_mean-nested"),
+    pytest.param(SolverConfig, "initial_mean", [[1.0], [1.0, 2.0]],
+                 id="SolverConfig.initial_mean-ragged"),
+    pytest.param(partial(evaluate, _DI, kind=ObjectiveKind.SPECTRAL_ABSCISSA), "alpha",
+                 ["-1", "-2"], id="evaluate.alpha-str"),
+    pytest.param(partial(evaluate, _DI, kind=ObjectiveKind.SPECTRAL_ABSCISSA), "alpha",
+                 [True, True], id="evaluate.alpha-bool"),
+    pytest.param(partial(evaluate, _DI, kind=ObjectiveKind.SPECTRAL_ABSCISSA), "alpha",
+                 [[1.0], [1.0, 2.0]], id="evaluate.alpha-ragged"),
+    pytest.param(partial(evaluate_batch, _DI, kind=ObjectiveKind.HINF_NORM), "X",
+                 [["-1", "-2"]], id="evaluate_batch.X-str"),
+    pytest.param(partial(evaluate_batch, _DI, kind=ObjectiveKind.HINF_NORM), "X",
+                 np.ones((2, 2), dtype=bool), id="evaluate_batch.X-bool"),
+    pytest.param(partial(evaluate_batch, _DI, kind=ObjectiveKind.HINF_NORM), "X",
+                 [[1.0, 2.0], [1.0]], id="evaluate_batch.X-ragged"),
     pytest.param(SolverConfig, "local_search_enabled", "no",
                  id="SolverConfig.local_search_enabled"),
     pytest.param(SolverConfig, "charge_local_to_budget", 1,
@@ -269,8 +283,9 @@ _SPEC = partial(CampaignSpec, ("double_integrator",))
 ])
 def test_config_value_of_the_wrong_type_rejected(build, field, value):
     """A string where an enum or a number belongs, a float or a bool where a
-    count does, or a non-bool where a bool does, is refused with a
-    ConfigError naming the field, not misread or left to fail inside numpy."""
+    count does, a non-bool where a bool does, or a ragged nesting where an
+    array does, is refused with a ConfigError naming the field, not misread
+    or left to fail inside numpy."""
     with pytest.raises(ConfigError, match=field):
         build(**{field: value})
 

@@ -174,6 +174,15 @@ def test_evaluate_deterministic(double_integrator):
     assert a == b
 
 
+def test_evaluate_integer_candidates_score_as_floats(double_integrator):
+    # the numbers check refuses bools and strings, not integers of any width
+    kind, cfg = ObjectiveKind.HINF_NORM, FitnessConfig()
+    expected = evaluate(double_integrator, [-1.0, -2.0], kind, cfg)
+    assert evaluate(double_integrator, [-1, -2], kind, cfg) == expected
+    rows = np.array([[-1, -2]], dtype=np.int8)
+    assert evaluate_batch(double_integrator, rows, kind, cfg) == [expected]
+
+
 def test_evaluate_nonfinite_candidate_ranks_last(double_integrator):
     ev = evaluate(double_integrator, np.array([np.inf, 0.0]),
                   ObjectiveKind.HINF_NORM, FitnessConfig())
