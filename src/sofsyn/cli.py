@@ -42,7 +42,7 @@ from .problem_io import load_problem
 
 def _solver_config(args) -> SolverConfig:
     """The config the solver flags set, each parsed into the field it sets."""
-    values = {f.name: getattr(args, f.name) for f in fields(SolverConfig) if hasattr(args, f.name)}
+    values = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
     values["objective"] = ObjectiveKind(args.objective)
     values["penalty_mode"] = PenaltyMode(args.penalty_mode)
     return SolverConfig(**values)
@@ -50,25 +50,24 @@ def _solver_config(args) -> SolverConfig:
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--objective", choices=sorted(k.value for k in ObjectiveKind),
-                        default="hinf",
                         help="hinf: closed-loop H-infinity norm; sa: spectral abscissa")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--budget", dest="t_max", metavar="BUDGET", type=int, default=10000,
+    parser.add_argument("--seed", type=int, help="base RNG seed")
+    parser.add_argument("--budget", dest="t_max", metavar="BUDGET", type=int,
                         help="global sample evaluations (t_max)")
-    parser.add_argument("--local-iters", dest="t_s", metavar="LOCAL_ITERS", type=int, default=10,
+    parser.add_argument("--local-iters", dest="t_s", metavar="LOCAL_ITERS", type=int,
                         help="(1+1) refinement evaluations per offspring (t_s)")
-    parser.add_argument("--beta", type=float, default=1e-10,
-                        help="weight of the gain-magnitude penalty")
+    parser.add_argument("--beta", type=float, help="weight of the gain-magnitude penalty")
     parser.add_argument("--penalty-mode", choices=sorted(m.value for m in PenaltyMode),
-                        default="guided", help="scoring of infeasible candidates")
+                        help="scoring of infeasible candidates")
     parser.add_argument("--no-local-search", dest="local_search_enabled", action="store_false",
                         help="disable the (1+1) refinement phase")
     parser.add_argument("--charge-local", dest="charge_local_to_budget", action="store_true",
                         help="charge local-search evaluations against the budget")
-    parser.add_argument("--sigma0", type=float, default=0.3, help="initial step size")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--sigma0", type=float, help="initial step size")
+    parser.add_argument("--threads", type=int,
                         help="bench: worker processes for its runs, at most one per CPU "
                              "(rows do not depend on it); solve: ignored")
+    parser.set_defaults(**vars(SolverConfig()))
 
 
 def _format_matrix(M: np.ndarray) -> str:
@@ -111,7 +110,7 @@ def _cmd_solve(args) -> int:
     dims = plant.dims
     F = unflatten_gain(result.best_alpha, dims.n_u, dims.n_y)
     print(f"problem: {plant.name} (n_x={dims.n_x} n_u={dims.n_u} n_y={dims.n_y})")
-    print(f"objective ({args.objective}): {result.best_objective!r}")
+    print(f"objective ({config.objective.value}): {result.best_objective!r}")
     print(f"feasible: {str(result.feasible).lower()}")
     print("gain F:")
     print(_format_matrix(F))
@@ -211,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="multi-seed campaign over one or more plants")
     p_bench.add_argument("--problem", action="append", required=True,
                          help="plant file (repeatable)")
-    p_bench.add_argument("--runs", type=int, default=10, help="independent runs per problem")
+    p_bench.add_argument("--runs", type=int, default=CampaignSpec.runs,
+                         help="independent runs per problem")
     _add_solver_flags(p_bench)
     p_bench.add_argument("--out", required=True,
                          help="output prefix (csv) or file (json)")

@@ -29,7 +29,7 @@ __all__ = [
     "maybe_reset",
 ]
 
-#: Relative eigenvalue floor used by the SPD repair.
+#: Relative eigenvalue floor of :func:`enforce_spd`, the one SPD fix.
 EIG_FLOOR_REL = 1e-12
 
 #: Step-size bounds beyond which :func:`maybe_reset` re-seeds the state, and
@@ -158,20 +158,17 @@ def enforce_spd(cov: np.ndarray) -> np.ndarray:
 
 
 def refresh_basis(state: CmaState) -> None:
-    """Recompute the cached eigendecomposition, repairing the covariance once
-    if the factorization fails or yields a nonpositive spectrum."""
-    for attempt in range(2):
-        try:
-            eigvals, basis = np.linalg.eigh(state.cov)
-        except np.linalg.LinAlgError:
-            eigvals = None
-        if eigvals is not None and eigvals[0] > 0:
-            state.basis = basis
-            state.sqrt_eigs = np.sqrt(eigvals)
-            return
-        if attempt == 0:
-            state.cov = enforce_spd(state.cov)
-    raise EigenSolveError("covariance factorization failed even after SPD repair")
+    """Recompute the cached eigendecomposition of ``cov``, which
+    :func:`update_covariance` and :func:`maybe_reset` keep positive definite;
+    a failed factorization or a nonpositive eigenvalue raises EigenSolveError."""
+    try:
+        eigvals, basis = np.linalg.eigh(state.cov)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(f"covariance factorization failed: {exc}") from exc
+    if not eigvals[0] > 0:
+        raise EigenSolveError(f"covariance is not positive definite (eigenvalue {eigvals[0]!r})")
+    state.basis = basis
+    state.sqrt_eigs = np.sqrt(eigvals)
 
 
 def sample_population(
@@ -269,19 +266,12 @@ def _all_finite(state: CmaState) -> bool:
     )
 
 
-def maybe_reset(state: CmaState, best_alpha: np.ndarray | None = None) -> bool:
-    """Re-seed the distribution if the step size left its safe range or any
-    state entry went non-finite. The mean restarts at the best candidate
-    seen so far (when provided); the generation counter is preserved.
-    Returns True iff a reset happened."""
-    healthy = _all_finite(state) and SIGMA_MIN <= state.sigma <= SIGMA_MAX
-    if healthy:
+def maybe_reset(state: CmaState, best_alpha: np.ndarray) -> bool:
+    """Re-seed the distribution at ``best_alpha``, the best candidate seen
+    so far, if the step size left its safe range or any state entry went
+    non-finite; the generation counter is preserved. This is the only
+    remedy for a degenerate state. Returns True iff a reset happened."""
+    if _all_finite(state) and SIGMA_MIN <= state.sigma <= SIGMA_MAX:
         return False
-    if best_alpha is not None:
-        mean = best_alpha
-    elif np.all(np.isfinite(state.mean)):
-        mean = state.mean
-    else:
-        mean = np.zeros(state.mean.size)
-    vars(state).update(vars(init_state(mean, SIGMA_RESET)), generation=state.generation)
+    vars(state).update(vars(init_state(best_alpha, SIGMA_RESET)), generation=state.generation)
     return True

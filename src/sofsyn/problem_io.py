@@ -19,6 +19,7 @@ files round-trip doubles exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -60,7 +61,7 @@ def _parse_float(tokens, what: str) -> float:
         value = float(tok)
     except ValueError:
         raise ProblemFileError(f"line {lineno}: expected number in {what}, got {tok!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ProblemFileError(f"line {lineno}: non-finite entry {tok!r} in {what}")
     return value
 

@@ -20,6 +20,7 @@ from sofsyn.cma import (
     update_paths,
     update_step_size,
 )
+from sofsyn.errors import EigenSolveError
 
 
 def hand_params(n):
@@ -398,14 +399,20 @@ def test_reset_on_sigma_blowup():
 def test_reset_on_nan_path():
     state = init_state(np.zeros(2))
     state.path_sigma = np.array([np.nan, 0.0])
-    assert maybe_reset(state, None)
+    best = np.array([1.5, -0.5])
+    assert maybe_reset(state, best)
     assert state.sigma == SIGMA_RESET
+    np.testing.assert_array_equal(state.mean, best)
+    np.testing.assert_array_equal(state.path_sigma, np.zeros(2))
 
 
 def test_reset_on_sigma_underflow():
     state = init_state(np.zeros(1))
     state.sigma = 1e-13
-    assert maybe_reset(state, None)
+    best = np.array([2.0])
+    assert maybe_reset(state, best)
+    assert state.sigma == SIGMA_RESET
+    np.testing.assert_array_equal(state.mean, best)
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +445,13 @@ def test_update_loop_invariants_stress():
         assert 0 < state.sigma <= SIGMA_MAX
 
 
-def test_refresh_basis_repairs_indefinite_covariance():
+def test_refresh_basis_refuses_indefinite_covariance():
+    """refresh_basis factors the covariance and repairs nothing: an
+    indefinite one raises, and the cached basis is left as it was."""
     state = init_state(np.zeros(2))
     state.cov = np.array([[1.0, 0.0], [0.0, -0.5]])
-    refresh_basis(state)
-    assert np.linalg.eigvalsh(state.cov).min() > 0
-    cands = sample_population(state, default_params(2), np.random.default_rng(0))
-    assert np.all(np.isfinite(cands))
+    with pytest.raises(EigenSolveError, match="not positive definite"):
+        refresh_basis(state)
+    np.testing.assert_array_equal(state.cov, [[1.0, 0.0], [0.0, -0.5]])
+    np.testing.assert_array_equal(state.basis, np.eye(2))
+    np.testing.assert_array_equal(state.sqrt_eigs, np.ones(2))
